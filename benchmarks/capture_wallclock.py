@@ -1,9 +1,9 @@
-"""Capture median-of-3 wall-clock replays per workload/tier (fast tiers only).
+"""Capture median-of-3 wall-clock replays per workload and tier.
 
 Used once per release to pin the previous PR's wall-clock numbers that the
 speed gate (``benchmarks/check_speed.py``) compares against, and by hand to
-sanity-check speedups without a full harness run (no reference tier, no
-autotuner, no instrumented replay).
+sanity-check speedups without a full harness run (no autotuner, no
+instrumented replay).
 
 Usage::
 
@@ -20,7 +20,7 @@ import time
 from .harness import make_tier, replay
 from .workloads import build_workloads
 
-TIERS = ("interpreted", "compiled")
+TIERS = ("reference", "compiled")
 REPEAT = 3
 
 

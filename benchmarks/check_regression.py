@@ -11,7 +11,7 @@ hash-table chain layouts introduce ~1% jitter, far inside the 2x headroom.
 Timing-derived speedups are machine-dependent, and wall-clock on shared CI
 runners is unreliable — so in ``--quick`` mode (short traces, the CI
 configuration, where a single scheduler hiccup can flip the ratio) the
-"compiled must stay faster than interpreted" check is **advisory**: it
+"compiled must stay faster than the reference" check is **advisory**: it
 prints a warning and does not fail the run.  Only the access-count
 regressions are fatal there.  Full-length runs keep the timing check fatal,
 since at default trace sizes an inversion means something real.
@@ -24,8 +24,8 @@ pre-instrumentation baseline, not merely within headroom.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_regression.py BENCH_5.json benchmarks/baseline.json
-    PYTHONPATH=src python benchmarks/check_regression.py --strict-accesses BENCH_7.json benchmarks/baseline.json
+    PYTHONPATH=src python benchmarks/check_regression.py BENCH_6.json benchmarks/baseline.json
+    PYTHONPATH=src python benchmarks/check_regression.py --strict-accesses BENCH_6.json benchmarks/baseline.json
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def compare(current: dict, baseline: dict, strict_accesses: bool = False) -> "tu
     """Compare *current* against *baseline*.
 
     Returns ``(failures, warnings)``: deterministic access-count regressions
-    are always failures; a timing inversion (compiled slower than
-    interpreted) is a failure on full-length runs but only a warning in
+    are always failures; a timing inversion (compiled slower than the
+    reference) is a failure on full-length runs but only a warning in
     quick mode, whose traces are too short for reliable wall-clock.
 
     ``strict_accesses=True`` additionally fails on *any* access-count
@@ -97,10 +97,10 @@ def compare(current: dict, baseline: dict, strict_accesses: bool = False) -> "tu
             )
         elif base_accesses:
             check_accesses(f"{name}/autotuned", cur_tuned.get("accesses", 0), base_accesses)
-        speedup = cur_data.get("speedup_compiled_vs_interpreted")
+        speedup = cur_data.get("speedup_compiled_vs_reference")
         if speedup is not None and speedup < 1.0:
             message = (
-                f"{name}: compiled tier ({speedup}x) is slower than the interpreted tier"
+                f"{name}: compiled tier ({speedup}x) is slower than the reference tier"
             )
             if quick:
                 warnings.append(message + " (advisory in quick mode: unreliable wall-clock)")
@@ -152,8 +152,8 @@ def main(argv: list) -> int:
         if base_tuned:
             ratio = f"{cur_tuned / base_tuned:>6.2f}x"
             print(f"{name:<12} {'autotuned':<12} {cur_tuned:>14,d} {base_tuned:>14,d} {ratio}")
-        speedup = cur_data.get("speedup_compiled_vs_interpreted")
-        print(f"{name:<12} compiled-vs-interpreted speedup: {speedup}x")
+        speedup = cur_data.get("speedup_compiled_vs_reference")
+        print(f"{name:<12} compiled-vs-reference speedup: {speedup}x")
 
     failures, warnings = compare(current, baseline, strict_accesses=strict_accesses)
     if warnings:

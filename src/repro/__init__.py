@@ -19,26 +19,27 @@ every tier of the library::
     # hot-swap between layouts via the abstraction function α:
     processes = repro.open(spec, live=True)
 
-``tier="reference" | "interpreted" | "compiled" | "auto"`` selects the
-implementation; every tier honours the same five-operation contract
+``tier="reference" | "compiled" | "auto"`` selects the implementation;
+both tiers honour the same five-operation contract
 (:class:`~repro.core.interface.RelationInterface`), which is the paper's
-central abstraction claim.  The constituent classes remain importable for
-direct use — ``ReferenceRelation``, ``DecomposedRelation``,
-``compile_relation``, ``synthesize`` — but new code should go through the
-factory, which is what the benchmarks and docs use.
+central abstraction claim: the compiled representation of any adequate
+layout behaves exactly like the specification-level reference.  The
+constituent pieces remain importable for direct use —
+``ReferenceRelation``, ``compile_relation``, ``synthesize`` — but new code
+should go through the factory, which is what the benchmarks and docs use.
 
 The library is layered like the paper:
 
 * :mod:`repro.core` — relational specifications ``(C, ∆)``, functional
   dependencies, relational algebra, the five-operation relational
   interface, and its reference implementation (Section 2);
-* :mod:`repro.decomposition` — decompositions, the adequacy judgement, the
-  abstraction function α, query plans, and the decomposed implementation
-  of the relational interface (Sections 3–4);
+* :mod:`repro.decomposition` — decompositions, the adequacy judgement and
+  query plans (Sections 3–4);
 * :mod:`repro.structures` — the primitive container library backing map
-  edges (Section 6);
-* :mod:`repro.codegen` — the performance tier: compile a decomposition
-  into a standalone specialised class (the paper's code generator);
+  edges, described by name, lowering strategy and cost model (Section 6);
+* :mod:`repro.codegen` — the implementation of every decomposition:
+  compile it into a standalone specialised class (the paper's code
+  generator), whose ``to_relation`` is the abstraction function α;
 * :mod:`repro.autotuner` — the synthesis loop (Section 5): record an
   operation trace, enumerate adequate decompositions, score them against
   the trace, and compile the winner (``synthesize(spec, trace)``);
@@ -60,7 +61,6 @@ from .core import (
     t,
 )
 from .decomposition import (
-    DecomposedRelation,
     Decomposition,
     check_adequacy,
     is_adequate,
@@ -85,7 +85,6 @@ open = open_relation
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecomposedRelation",
     "Decomposition",
     "FAULTS",
     "FDSet",

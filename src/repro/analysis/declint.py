@@ -238,7 +238,7 @@ def _check_unjoined_branches(
         return
     # Which edges does any trace-pattern plan actually walk?  Plan both
     # unsized (the CLI compile) and with trace-estimated sizes: a branch
-    # the planner only reaches as a join side under live sizes — the
+    # the planner only reaches as a join side under workload sizes — the
     # key-projection secondary of the reverse-neighbour graph — is serving
     # queries, not dead weight.
     used: Set[int] = set()

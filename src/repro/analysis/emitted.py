@@ -86,8 +86,8 @@ _BOOKKEEPING_ATTRS = frozenset(
 #: record's identity map, not a traversed index structure.
 _REGISTRY_ATTR_RE = re.compile(r"^_s\d+$")
 
-_LIST_HELPERS = ("_l_get", "_l_put", "_l_del", "_l_put_j", "_l_del_j")
-_JOURNALLING_HELPERS = frozenset(("_l_put_j", "_l_del_j"))
+_LIST_HELPERS = ("_l_get", "_l_put_j", "_l_del_j", "_l_unlink_j")
+_JOURNALLING_HELPERS = frozenset(("_l_put_j", "_l_del_j", "_l_unlink_j"))
 
 #: Container methods that mutate their receiver.
 _MUTATING_METHODS = frozenset(
@@ -649,12 +649,7 @@ class _MethodChecker:
                 base_kind = _container_kind(call.func.value, self.env)
                 if base_kind and call.func.attr in _MUTATING_METHODS:
                     return call, f"container .{call.func.attr}() mutation", False
-            elif isinstance(call.func, ast.Name) and call.func.id in (
-                "_l_put",
-                "_l_del",
-                "_l_put_j",
-                "_l_del_j",
-            ):
+            elif isinstance(call.func, ast.Name) and call.func.id in _JOURNALLING_HELPERS:
                 if call.args and _container_kind(call.args[0], self.env):
                     return (
                         call,

@@ -12,8 +12,9 @@ specification and a workload, synthesize the best representation"*:
   structure assignments from the registry);
 * :mod:`~repro.autotuner.scorer` — the two-phase scorer: static
   plan-cost estimates prune, exact
-  :class:`~repro.structures.base.OperationCounter` replay ranks, Pareto
-  front over (accesses, memory proxy);
+  :class:`~repro.structures.base.OperationCounter` replay of each
+  survivor's compiled class ranks, Pareto front over (accesses, memory
+  proxy);
 * :mod:`~repro.autotuner.tuner` — :func:`autotune` (the full search,
   returning a :class:`TuningResult`) and :func:`synthesize` (search +
   :func:`~repro.codegen.compile_relation` of the winner).

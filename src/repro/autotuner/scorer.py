@@ -4,25 +4,26 @@ Phase 1 — **static estimate** (:func:`static_cost`): a closed-form cost per
 candidate computed from the trace *profile* (operation counts per pattern
 column set) and the containers' cost models, via the same
 :func:`~repro.decomposition.plan.plan_query` / ``structure_cost`` machinery
-the live planner uses.  Cheap enough to rank hundreds of candidates and
-prune the space.
+the compiler ranks its plan table with.  Cheap enough to rank hundreds of
+candidates and prune the space.
 
-Phase 2 — **exact replay** (:func:`exact_accesses`): the surviving
-candidates replay the full trace on the interpreted tier under the
-library-wide :class:`~repro.structures.base.OperationCounter`, giving the
-deterministic, machine-independent access count the benchmark harness also
-reports.  The final ranking — and the Pareto front over (accesses, memory
-proxy) — uses these exact numbers.
+Phase 2 — **exact replay** (:func:`exact_accesses`): each surviving
+candidate is compiled exactly as the winner would be shipped and replays
+the full trace under the library-wide
+:class:`~repro.structures.base.OperationCounter`, giving the deterministic,
+machine-independent access count the benchmark harness also reports.  The
+final ranking — and the Pareto front over (accesses, memory proxy) — uses
+these exact numbers, so candidates are judged by the code they generate.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..codegen import compile_relation
 from ..core.spec import RelationSpec
 from ..decomposition.model import Decomposition, MapEdge
 from ..decomposition.plan import plan_query, residual_update_columns
-from ..decomposition.relation import DecomposedRelation
 from ..structures.base import COUNTER
 from ..structures.registry import structure_cost
 from .trace import Trace, TraceProfile, replay_trace
@@ -103,8 +104,8 @@ def estimate_edge_sizes(
     (:meth:`TraceProfile.distinct_count`).  This is what lets the static
     phase see that scanning a ten-entry outer container is nearly free while
     scanning a thousand-entry one is not, instead of charging every edge the
-    same symbolic size — the same per-edge-size shape the live planner
-    consumes (:meth:`DecompositionInstance.edge_sizes`).
+    same symbolic size — the same per-edge-size shape the compiler ranks its
+    plan table against (:func:`~repro.codegen.compile_relation` ``sizes=``).
     """
     sizes: Dict[MapEdge, float] = {}
     for path in decomposition.paths():
@@ -126,7 +127,7 @@ def static_cost(
 
     Each edge's container size is estimated from the trace's distinct-value
     statistics (:func:`estimate_edge_sizes`) and fed through the planner's
-    live-size cost machinery; queries are charged their cheapest plan,
+    per-edge-size cost machinery; queries are charged their cheapest plan,
     inserts and removes the per-edge mutation cost for one victim on every
     edge (every branch stores the tuple), removes and updates additionally
     their pattern's plan (updates twice: remove + re-insert — unless the
@@ -211,16 +212,26 @@ def exact_accesses(
     enforce_fds: bool = True,
     spec: Optional[RelationSpec] = None,
 ) -> int:
-    """Replay *trace* on the interpreted tier; return the exact access count.
+    """Replay *trace* on *decomposition*'s compiled class; return the exact
+    access count.
 
-    Deterministic and machine-independent: the same
+    The class is compiled as :meth:`TuningResult.compile_winner` ships it —
+    same FD default, same trace-estimated sizes — so the winner's class
+    comes straight from the codegen cache and its score is what it will
+    cost.  Deterministic and machine-independent: the same
     :class:`~repro.structures.base.OperationCounter` numbers the benchmark
-    harness records for the interpreted tier.  *spec* is the specification
-    the relation is built against (default: the trace's own); the tuner
-    passes the specification being tuned, so candidates are scored under
-    exactly the FD semantics the winner will be compiled with.
+    harness records.  *spec* is the specification the relation is built
+    against (default: the trace's own); the tuner passes the specification
+    being tuned, so candidates are scored under exactly the FD semantics
+    the winner will be compiled with.
     """
-    relation = DecomposedRelation(spec or trace.spec, decomposition, enforce_fds=enforce_fds)
+    cls = compile_relation(
+        spec or trace.spec,
+        decomposition,
+        enforce_fds_default=enforce_fds,
+        sizes=estimate_edge_sizes(decomposition, trace.profile()),
+    )
+    relation = cls(enforce_fds=enforce_fds)
     with COUNTER:
         replay_trace(trace, relation)
         return COUNTER.accesses

@@ -6,7 +6,7 @@ Section 2.  This module provides the workload representation:
 
 * :class:`Trace` — an immutable-ish list of operations over one
   specification, replayable against any :class:`RelationInterface` tier
-  (reference, interpreted, compiled) via :func:`replay_trace`;
+  (reference or compiled, bare or live) via :func:`replay_trace`;
 * :class:`TraceRecorder` — a transparent :class:`RelationInterface`
   wrapper that forwards every operation to an inner relation and records
   the ones that succeed, so real application code can be profiled without

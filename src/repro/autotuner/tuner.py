@@ -3,11 +3,12 @@
 :func:`autotune` closes the paper's synthesis loop: given a relational
 specification and a recorded operation trace, it enumerates the adequate
 candidate decompositions (:mod:`~repro.autotuner.enumerator`), prunes them
-with the static cost estimate, replays the trace exactly on the survivors
-(:mod:`~repro.autotuner.scorer`), and returns the Pareto front plus the
-access-count winner.  :func:`synthesize` goes one step further and hands
-back a compiled relation class (:func:`repro.codegen.compile_relation`) for
-the winning layout — specification + workload in, generated code out.
+with the static cost estimate, replays the trace exactly on the survivors'
+compiled classes (:mod:`~repro.autotuner.scorer`), and returns the Pareto
+front plus the access-count winner.  :func:`synthesize` goes one step
+further and hands back the winner's compiled relation class
+(:func:`repro.codegen.compile_relation`) — specification + workload in,
+generated code out.
 """
 
 from __future__ import annotations

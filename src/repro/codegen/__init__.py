@@ -10,21 +10,21 @@ This package is the reproduction's equivalent on top of the Python stack:
   generated from query plans behind a compile-time dispatch table;
 * :func:`compile_relation` — generate, ``exec`` and return the class, ready
   to instantiate and use interchangeably with
-  :class:`~repro.core.reference.ReferenceRelation` and
-  :class:`~repro.decomposition.relation.DecomposedRelation`.
+  :class:`~repro.core.reference.ReferenceRelation`.
 
-The three tiers trade generality for speed:
+The two tiers trade generality for speed:
 
 =============  ==================================  =========================
 Tier           Implementation                      Cost per operation
 =============  ==================================  =========================
 reference      set of tuples, defining equations   O(n) scans everywhere
-interpreted    ``DecomposedRelation``              plan cache + DAG walking
 compiled       ``compile_relation(spec, d)()``     straight-line specialised
 =============  ==================================  =========================
 
-``benchmarks/`` drives all three through identical traces and records the
-resulting throughput and operation counts in ``BENCH_5.json``.
+The compiled class is also what the autotuner scores: every candidate
+layout is compiled and replayed, so a layout is judged by the code it
+generates.  ``benchmarks/`` drives both tiers through identical traces and
+records the resulting throughput and operation counts.
 """
 
 from .compiler import (

@@ -1,10 +1,10 @@
 """Compile a ``(RelationSpec, Decomposition)`` pair into a standalone class.
 
-This is the reproduction's counterpart of RELC's C++ code generator: where
-:class:`~repro.decomposition.relation.DecomposedRelation` *interprets* a
-decomposition — re-walking ``node.edges``, projecting :class:`Tuple` keys and
-re-ranking query plans at run time — the compiler emits a Python class whose
-methods are straight-line code specialised to one decomposition:
+This is the reproduction's counterpart of RELC's C++ code generator, and
+the only executor of a decomposition: rather than walking ``node.edges``,
+projecting :class:`Tuple` keys and ranking query plans at run time, the
+compiler emits a Python class whose methods are straight-line code
+specialised to one decomposition:
 
 * **insert/remove** are unrolled over the decomposition DAG: each edge
   becomes a few lines of direct ``dict``/list access on pre-bound key
@@ -24,8 +24,9 @@ model of a balanced tree), list-like structures become real entry lists
 with linear search, and intrusive structures (``ilist``) become dicts with
 list-honest charging — key *searches* cost ``n`` accesses, but linking a
 known-new entry and unlinking a held entry cost 1 — so compiled layouts
-keep honest asymptotics and :class:`~repro.structures.base.OperationCounter`
-numbers remain comparable across the interpreted and compiled tiers.
+keep honest asymptotics, and the autotuner can rank candidates by the
+:class:`~repro.structures.base.OperationCounter` numbers of the very code it
+ships.
 
 **Shared sub-nodes** (Section 3) lower to genuinely shared objects: each
 shared node gets a per-class registry dict mapping its bound-column binding
@@ -34,9 +35,8 @@ nodes) that every parent container references.  Inserts create the cell
 once and link it into each branch; removals decide the hit once against
 the registry and then unlink the same object from every parent with an
 unrolled, constant-time delete per intrusive branch — no per-branch victim
-scans and no per-branch copies.  The registry mirrors the interpreted
-tier's shared-node registry and is likewise not charged to the counter
-(it models the record pointer generated C++ would already hold).
+scans and no per-branch copies.  The registry is not charged to the
+counter: it models the record pointer generated C++ would already hold.
 
 The generated source is self-contained: it imports only stable ``repro``
 entry points, reconstructs its specification literally, and can be written
@@ -246,8 +246,9 @@ class _RelationCompiler:
         elif strategy == "intrusive":
             if op == "lookup":
                 # An unordered intrusive list cannot probe by key: a key
-                # search walks the links, so it is charged like a scan.
-                self.em.line(f"if en: _C.accesses += max(1, len({cexpr}))")
+                # search walks the links, so it is charged like a scan (an
+                # empty list has no link to visit, as for ``dlist``).
+                self.em.line(f"if en: _C.accesses += len({cexpr})")
             else:  # link / unlink: the intrusive O(1) operations.
                 self.em.line("if en: _C.accesses += 1")
         elif strategy != "list":  # list probes are counted inside the helpers
@@ -273,7 +274,7 @@ class _RelationCompiler:
         that charge.  The shared-node fast path reaches the container with
         no preceding probe (the hit was decided against the registry), so
         it passes ``probe_paid=False`` and the delete is charged like the
-        probe the interpreted tier's key-based removal pays.  Intrusive
+        key-based probe a removal without a held entry pays.  Intrusive
         unlinks always charge their single access — their preceding probe,
         if any, was a key *search*, and the O(1) unlink is a separate
         pointer splice.
@@ -284,7 +285,11 @@ class _RelationCompiler:
         strategy = _strategy(edge)
         self.em.fault_check("codegen.remove.unlink", guard="_fa")
         if strategy == "list":
-            self.em.line(f"_l_del_j({cexpr}, {kexpr}, _j)")
+            # After a paid probe the entry is held: splicing it out costs
+            # one access, like an intrusive unlink.  Without one (the
+            # shared fast path) the list must still be searched.
+            helper = "_l_unlink_j" if probe_paid else "_l_del_j"
+            self.em.line(f"{helper}({cexpr}, {kexpr}, _j)")
             return
         if strategy == "intrusive" or not probe_paid:
             self._emit_access_count(edge, cexpr, op="unlink")
@@ -460,7 +465,7 @@ class _RelationCompiler:
         ``style == "hash"``: both chains are emitted independently; the
         build rows are collected into a temporary dict keyed on the join
         columns and the probe rows matched against it — one counted access
-        per temporary insert and per probe, matching the interpreted tier.
+        per temporary insert and per probe.
         """
         em = self.em
         em.line("en = _C.enabled")
@@ -648,8 +653,7 @@ class _RelationCompiler:
                 with em.indent():
                     em.line(f"{nvar} = {self._node_literal(e.child)}")
                     if _strategy(e) == "list":
-                        em.line(f"{cvar}.append([{kexpr}, {nvar}])")
-                        em.line(f"_j.append((4, {cvar}))")
+                        self._emit_list_append(cvar, kexpr, nvar)
                     else:
                         em.line(f"{cvar}[{kexpr}] = {nvar}")
                         em.line(f"_j.append((1, {cvar}, {kexpr}))")
@@ -686,14 +690,22 @@ class _RelationCompiler:
             em.fault_check("codegen.insert.link_shared", guard="_fa")
             if _strategy(e) == "list":
                 em.line("if en: _C.accesses += 1")
-                em.line(f"{cvar}.append([{kexpr}, _sc{j}])")
-                em.line(f"_j.append((4, {cvar}))")
+                self._emit_list_append(cvar, kexpr, f"_sc{j}")
             else:
                 self._emit_access_count(e, cvar, op="link")
                 em.line(f"{cvar}[{kexpr}] = _sc{j}")
                 em.line(f"_j.append((1, {cvar}, {kexpr}))")
         if descend:
             self._emit_store_walk(e.child, f"_sc{j}", shared_emitted)
+
+    def _emit_list_append(self, cvar: str, kexpr: str, vexpr: str) -> None:
+        """Append a known-new entry to a list-strategy container, keeping
+        its side index in step (the uncounted probes read only the index)."""
+        entry = self._gensym("e")
+        self.em.line(f"{entry} = [{kexpr}, {vexpr}]")
+        self.em.line(f"{cvar}.append({entry})")
+        self.em.line(f"{cvar}.idx[{kexpr}] = {entry}")
+        self.em.line(f"_j.append((4, {cvar}))")
 
     def _emit_remove_walk(self, node: DecompNode, inst_expr: str, shared_emitted: set) -> None:
         em = self.em
@@ -896,50 +908,9 @@ class _RelationCompiler:
             "    return _MISS if e is None else e[1]",
             "",
             "",
-            "def _l_put(c, k, v):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for e in c:",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                e[1] = v",
-            "                return",
-            "        _C.accesses += n",
-            "    else:",
-            "        e = c.idx.get(k)",
-            "        if e is not None:",
-            "            e[1] = v",
-            "            return",
-            "    e = [k, v]",
-            "    c.append(e)",
-            "    c.idx[k] = e",
-            "",
-            "",
-            "def _l_del(c, k):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for i, e in enumerate(c):",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                del c.idx[k]",
-            "                c[i] = c[-1]",
-            "                c.pop()",
-            "                return True",
-            "        _C.accesses += n",
-            "        return False",
-            "    e = c.idx.pop(k, None)",
-            "    if e is None:",
-            "        return False",
-            "    c[c.index(e)] = c[-1]",
-            "    c.pop()",
-            "    return True",
-            "",
-            "",
-            "# Journal-aware list helpers: identical probing and counting to",
-            "# _l_put/_l_del, plus one uncounted journal append per mutation so",
-            "# the emitted rollback blocks can restore the entry exactly.",
+            "# Journal-aware mutators: the same walk and charging as _l_get,",
+            "# plus one uncounted journal append per mutation so the emitted",
+            "# rollback blocks can restore the entry exactly.",
             "def _l_put_j(c, k, v, j):",
             "    if _C.enabled:",
             "        n = 0",
@@ -984,6 +955,23 @@ class _RelationCompiler:
             "    c.pop()",
             "    j.append((3, c, e))",
             "    return True",
+            "",
+            "",
+            "# Unlink an entry the caller's probe already reached: a held entry",
+            "# splices out in one access (swap-with-last keeps the list dense).",
+            "def _l_unlink_j(c, k, j):",
+            "    if _C.enabled:",
+            "        _C.accesses += 1",
+            "    e = c.idx.pop(k)",
+            "    c[c.index(e)] = c[-1]",
+            "    c.pop()",
+            "    j.append((3, c, e))",
+            "",
+            "",
+            "def _l_ok(c):",
+            "    \"\"\"Whether a list container's side index is exactly its entries.\"\"\"",
+            "    idx = c.idx",
+            "    return len(idx) == len(c) and all(idx.get(e[0]) is e for e in c)",
             "",
             "",
             "def _undo(j):",
@@ -1740,10 +1728,7 @@ class _RelationCompiler:
             )
             em.line("en = _C.enabled")
             em.line(f"c0 = {cexpr}")
-            em.line("if en:")
-            with em.indent():
-                em.line("_C.scans += 1")
-                em.line("_C.accesses += max(1, len(c0).bit_length())")
+            em.line("if en: _C.accesses += max(1, len(c0).bit_length())")
             em.line("if self._rord_mut != self._mut:")
             with em.indent():
                 # Repair the snapshot from the key-set diff when few keys
@@ -1847,9 +1832,11 @@ class _RelationCompiler:
         em.line()
         with em.block("def check_well_formed(self):"):
             em.docstring(
-                "Branch agreement and count consistency (the compiled "
-                "counterpart of Figure 5's instance well-formedness)."
+                "Container shape, branch agreement and count consistency "
+                "(the compiled counterpart of Figure 5's instance "
+                "well-formedness)."
             )
+            self._emit_structure_checks()
             em.line("rows = set(self._rows_path_0())")
             for index in range(1, len(self.paths)):
                 path = self.paths[index]
@@ -1888,6 +1875,59 @@ class _RelationCompiler:
                 'return "%s(size=%d)" % (type(self).__name__, self._count)'
             )
         em.line()
+
+    def _emit_structure_checks(self) -> None:
+        """Walk every path's containers before any row is read: keys must
+        bind the edge's key columns, sub-instances must be non-empty (the
+        mutators prune them), and each list container's side index must be
+        exactly its entries — one entry per key, no duplicates — since the
+        uncounted probes read only the index."""
+        em = self.em
+        self._reset_symbols()
+        for path in self.paths:
+            node = self.decomposition.root
+            current = "self._root"
+            opened = 0
+            for e, idx in zip(path.edges, path.edge_indices):
+                key_cols = sorted(e.key)
+                is_list = _strategy(e) == "list"
+                descend = len(key_cols) > 1 or not e.child.is_unit
+                if not (is_list or descend):
+                    break
+                cvar = self._gensym("c")
+                em.line(f"{cvar} = {self._container_expr(node, current, idx)}")
+                if is_list:
+                    em.line(f"if type({cvar}) is not _L or not _l_ok({cvar}):")
+                    with em.indent():
+                        em.line(
+                            "raise WellFormednessError("
+                            f'"list container keyed by ({", ".join(key_cols)}) '
+                            'disagrees with its side index")'
+                        )
+                if not descend:
+                    break
+                kvar, nvar = self._gensym("k"), self._gensym("n")
+                items = cvar if is_list else f"{cvar}.items()"
+                em.line(f"for {kvar}, {nvar} in {items}:")
+                em.push()
+                opened += 1
+                if len(key_cols) > 1:
+                    em.line(f"if type({kvar}) is not tuple or len({kvar}) != {len(key_cols)}:")
+                    with em.indent():
+                        em.line(
+                            "raise WellFormednessError("
+                            f'"container key %r does not bind the key columns '
+                            f'({", ".join(key_cols)})" % ({kvar},))'
+                        )
+                if not e.child.is_unit:
+                    em.line(f"if {self._emptiness_expr(e.child, nvar)}:")
+                    with em.indent():
+                        em.line(
+                            "raise WellFormednessError("
+                            f'"empty sub-instance under key %r" % ({kvar},))'
+                        )
+                node, current = e.child, nvar
+            em.pop(opened)
 
     def _routes_to(self, target: DecompNode) -> List[List[tuple]]:
         """Every route (list of ``(source node, edge, edge index)`` steps)
@@ -2147,8 +2187,7 @@ def compile_relation(
 
     The returned class implements
     :class:`~repro.core.interface.RelationInterface` and is interchangeable
-    with :class:`~repro.core.reference.ReferenceRelation` and
-    :class:`~repro.decomposition.relation.DecomposedRelation`; construct
+    with :class:`~repro.core.reference.ReferenceRelation`; construct
     instances with ``cls(enforce_fds=True)``.  The generated module source
     is attached as ``cls.__repro_source__`` (``cls.__source__`` remains as
     an alias), the compiler's metadata as ``cls.__repro_meta__``, the

@@ -9,20 +9,18 @@ Section 2 of the paper defines five operations on relations::
     query r s C     = π_C {t ∈ !r | t ⊇ s}
 
 :class:`RelationInterface` captures this contract as an abstract base class.
-Three implementations exist in the library:
+Two implementations exist in the library:
 
 * :class:`repro.core.reference.ReferenceRelation` — the specification-level
-  implementation (a mutable wrapper around :class:`repro.core.Relation`);
-* :class:`repro.decomposition.DecomposedRelation` — the interpreted
-  runtime over a decomposition instance (Section 3), executing each
-  operation through query plans over primitive containers; and
-* the classes produced by :func:`repro.codegen.compile_relation` — the
-  compiled tier, specialising every operation to one decomposition at
+  implementation (a mutable wrapper around :class:`repro.core.Relation`),
+  the oracle every representation is checked against; and
+* the classes produced by :func:`repro.codegen.compile_relation` — one per
+  decomposition (Section 3), specialising every operation to it at
   class-generation time (the paper's code generator).
 
-All are interchangeable from the client's point of view, which is the
-paper's central abstraction claim; ``benchmarks/`` quantifies what each
-tier buys.
+Both are interchangeable from the client's point of view, which is the
+paper's central abstraction claim; ``benchmarks/`` quantifies what the
+compiled tier buys.
 """
 
 from __future__ import annotations

@@ -11,17 +11,15 @@ relational specifications (:mod:`repro.core`) and primitive containers
   e.g. ``"ns, pid -> htable {state, cpu}"``;
 * :mod:`~repro.decomposition.adequacy` — the adequacy judgement of
   Section 3.2 (:func:`check_adequacy`, :func:`is_adequate`);
-* :mod:`~repro.decomposition.instance` — populated instances, the
-  abstraction function α, and instance well-formedness (Figure 5);
 * :mod:`~repro.decomposition.plan` — the recursive query-plan IR: chain
   plans, cross-branch joins and Figure 8 FD-validity
-  (:func:`plan_query`, :func:`execute_plan`, :func:`validate_plan`);
-* :mod:`~repro.decomposition.relation` — :class:`DecomposedRelation`, the
-  relational interface over all of the above.
+  (:func:`plan_query`, :func:`validate_plan`).
+
+Populated instances are the classes :mod:`repro.codegen` compiles from a
+decomposition and its plans.
 """
 
 from .adequacy import adequacy_problems, check_adequacy, enforced_fds, is_adequate
-from .instance import DecompositionInstance, NodeInstance
 from .model import Decomposition, DecompNode, MapEdge, Path, edge, format_decomposition, unit
 from .parser import parse_decomposition, tokenize
 from .plan import (
@@ -32,22 +30,17 @@ from .plan import (
     ResidualFilter,
     ScanStep,
     converging_plans,
-    execute_plan,
     path_steps,
     plan_query,
     validate_plan,
 )
-from .relation import DecomposedRelation
 
 __all__ = [
     "Decomposition",
     "DecompNode",
-    "DecomposedRelation",
-    "DecompositionInstance",
     "JoinPlan",
     "LookupStep",
     "MapEdge",
-    "NodeInstance",
     "Path",
     "PlanWitness",
     "QueryPlan",
@@ -58,7 +51,6 @@ __all__ = [
     "converging_plans",
     "edge",
     "enforced_fds",
-    "execute_plan",
     "format_decomposition",
     "is_adequate",
     "parse_decomposition",

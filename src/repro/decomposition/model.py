@@ -22,8 +22,8 @@ be reused in several positions.
 
 This module defines the static shape only.  Judging a decomposition against
 a :class:`~repro.core.spec.RelationSpec` lives in
-:mod:`repro.decomposition.adequacy`; populated instances live in
-:mod:`repro.decomposition.instance`.
+:mod:`repro.decomposition.adequacy`; populated instances are the classes
+:mod:`repro.codegen` compiles from a decomposition.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class Decomposition:
         """The unique bound column set of a shared node.
 
         Raises :class:`DecompositionError` when the node is reached with
-        more than one bound set — instances and the code generator require
+        more than one bound set — the code generator requires
         every shared node to have one type ``B ▷ C`` (the adequacy checker
         reports this as an adequacy problem first).
         """

@@ -1,4 +1,4 @@
-"""Query plans over decomposition instances (the Section 4 plan IR).
+"""Query plans over decompositions (the Section 4 plan IR).
 
 Plans form a small recursive IR instead of a single straight line:
 
@@ -12,8 +12,8 @@ Plans form a small recursive IR instead of a single straight line:
   branches: the ``build`` side is evaluated first and the ``probe`` side is
   planned with the build side's columns treated as bound — so a probe whose
   keys become fully bound turns into per-row container lookups (the
-  cheaper-side/other-side choice the cost model makes from live
-  ``edge_sizes``), while an independent probe is enumerated once and
+  cheaper-side/other-side choice the cost model makes from per-edge
+  container sizes), while an independent probe is enumerated once and
   matched through a temporary hash table on the common columns
   (``style == "hash"``).
 
@@ -41,22 +41,20 @@ picks the cheapest converging chain (:attr:`QueryPlan.leaf_shared`,
 search enumerate candidate chains through one shared helper,
 :func:`path_steps`.
 
-:func:`plan_query` is pure planning; :func:`execute_plan` runs any plan of
-the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`.
+:func:`plan_query` is pure planning; the code generator
+(:mod:`repro.codegen`) lowers every plan of the IR into a specialised query
+method.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..core.columns import ColumnSet, columns, format_columns
 from ..core.errors import QueryPlanError
 from ..core.fd import FDSet
 from ..core.spec import RelationSpec
-from ..core.tuples import Tuple
-from ..structures.base import COUNTER, MISSING
 from ..structures.registry import structure_cost
-from .instance import DecompositionInstance, NodeInstance
 from .model import Decomposition, MapEdge, Path
 
 __all__ = [
@@ -70,17 +68,16 @@ __all__ = [
     "plan_query",
     "residual_update_columns",
     "validate_plan",
-    "execute_plan",
     "converging_plans",
 ]
 
-#: Symbolic container size at which plan costs are compared when no live
-#: sizes are available (e.g. planning against a decomposition with no
-#: instance, or an edge that has not materialised any container yet).
+#: Symbolic container size at which plan costs are compared when no size
+#: estimates are available (e.g. compiling a layout with no workload trace,
+#: or an edge the estimates do not cover).
 DEFAULT_COST_SIZE = 1000.0
 
-#: Optional per-edge live container sizes (average entries per container),
-#: as produced by :meth:`DecompositionInstance.edge_sizes`.
+#: Optional per-edge container sizes (average entries per container), as
+#: estimated from a trace by :func:`repro.autotuner.scorer.estimate_edge_sizes`.
 EdgeSizes = Mapping[MapEdge, float]
 
 
@@ -228,8 +225,8 @@ class QueryPlan:
     ) -> float:
         """A coarse cost estimate: scans multiply the frontier, lookups do not.
 
-        With *sizes* (a mapping from :class:`MapEdge` to its average live
-        container size, see :meth:`DecompositionInstance.edge_sizes`), each
+        With *sizes* (a mapping from :class:`MapEdge` to its average
+        container size, see :data:`EdgeSizes`), each
         step is charged against the size of the containers it actually
         touches instead of the symbolic *n* — so the estimate tracks the
         data distribution, e.g. a deep index whose second level holds two
@@ -287,8 +284,7 @@ class JoinPlan:
     * ``style == "hash"`` — the probe chain is independent of the build
       side's bindings; it is enumerated once and the two row sets are
       matched through a temporary hash table keyed on ``on`` (both the
-      temporary inserts and the probes are charged one counted access, in
-      this interpreter and in the compiled tier alike).
+      temporary inserts and the probes are charged one counted access).
 
     ``on`` is the full set of columns the two sides share — rows are glued
     only when they agree on all of them; the planner's lossless check
@@ -541,8 +537,8 @@ def plan_query(
             *chain* plan exists whose every step is a lookup (the paper's
             "query is supported efficiently" notion used by operation
             planning).
-        sizes: optional per-edge live container sizes
-            (:meth:`DecompositionInstance.edge_sizes`).  Without them plans
+        sizes: optional per-edge container sizes (:data:`EdgeSizes`).
+            Without them plans
             are ranked structurally (fewest scans first, then the symbolic
             cost at :data:`DEFAULT_COST_SIZE`); with them the estimated cost
             against the real data leads, so the chosen plan flips when the
@@ -706,76 +702,3 @@ def converging_plans(
         plans.append(QueryPlan(path, steps, bound, leaf_shared=True))
     plans.sort(key=lambda plan: plan.estimated_cost())
     return plans
-
-
-def execute_plan(
-    plan: AnyPlan, instance: DecompositionInstance, pattern: Tuple
-) -> Iterator[Tuple]:
-    """Run *plan* against *instance*, yielding the full matching tuples.
-
-    Chain plans walk their path with the pattern as context; join plans
-    evaluate the build chain, then either re-walk the probe chain per build
-    row with the row's columns bound (``style == "probe"``) or enumerate
-    the probe chain once and match through a temporary hash table
-    (``style == "hash"``, charged one counted access per temporary insert
-    and probe, mirroring the compiled tier).
-    """
-    if not plan.pattern_columns <= pattern.columns:
-        raise QueryPlanError(
-            f"plan for pattern columns {format_columns(plan.pattern_columns)} cannot "
-            f"execute pattern {pattern!r}: the pattern must bind at least the "
-            f"planned columns"
-        )
-    if isinstance(plan, JoinPlan):
-        yield from _execute_join(plan, instance, pattern)
-        return
-    yield from _execute(plan, 0, instance.root, Tuple.empty(), pattern)
-
-
-def _execute_join(
-    plan: JoinPlan, instance: DecompositionInstance, pattern: Tuple
-) -> Iterator[Tuple]:
-    build_rows = _execute(plan.build, 0, instance.root, Tuple.empty(), pattern)
-    if plan.style == "probe":
-        for left in build_rows:
-            context = pattern.merge(left)
-            for right in _execute(plan.probe, 0, instance.root, Tuple.empty(), context):
-                yield left.merge(right)
-        return
-    on = sorted(plan.on)
-    table: dict = {}
-    for left in build_rows:
-        COUNTER.count_access()  # Temporary-hash insert.
-        table.setdefault(left.project(on), []).append(left)
-    for right in _execute(plan.probe, 0, instance.root, Tuple.empty(), pattern):
-        COUNTER.count_access()  # Temporary-hash probe.
-        for left in table.get(right.project(on), ()):
-            yield left.merge(right)
-
-
-def _execute(
-    plan: QueryPlan,
-    depth: int,
-    instance: NodeInstance,
-    binding: Tuple,
-    pattern: Tuple,
-) -> Iterator[Tuple]:
-    if depth == len(plan.steps):
-        if instance.unit_value is None:
-            # An empty unit represents no tuple.
-            return
-        result = binding.merge(instance.unit_value)
-        if result.matches(pattern):
-            yield result
-        return
-    step = plan.steps[depth]
-    container = instance.containers[step.edge_index]
-    if isinstance(step, LookupStep):
-        key = pattern.project(step.edge.key)
-        child = container.lookup(key)
-        if child is not MISSING:
-            yield from _execute(plan, depth + 1, child, binding.merge(key), pattern)
-        return
-    for key, child in container.items():
-        if key.matches(pattern):
-            yield from _execute(plan, depth + 1, child, binding.merge(key), pattern)

@@ -1,6 +1,6 @@
 """``repro.faults`` — deterministic, seeded fault injection.
 
-Differential equivalence across the three tiers is a 2-safety property: a
+Differential equivalence between the tiers is a 2-safety property: a
 bug only shows up when *two* executions (the tier and its reference mirror)
 are compared.  Exception-safety bugs are worse still — they only show up
 when a failure lands at exactly the wrong interleaving point inside a
@@ -11,19 +11,19 @@ injection points, deterministically.
 Design:
 
 * **Named sites.**  Every interleaving point worth failing at is registered
-  once under a stable dotted name (``structures.htable.insert``,
-  ``instance.insert.link_shared``, ``codegen.remove.unlink``,
-  ``live.migrate.dual_write`` ...).  Registration happens at import time —
-  the structure registry registers one site per container mutator, the
-  interpreted instance and the code generator register their walk points,
-  the live facade its migration stages — so :func:`fault_sites` enumerates
-  the complete sweep surface (the chaos suite asserts there are ≥ 25).
+  once under a stable dotted name (``reference.insert``,
+  ``codegen.remove.unlink``, ``live.migrate.dual_write`` ...).
+  Registration happens at import time — the reference oracle registers its
+  mutators, the code generator the walk points it emits into every
+  compiled mutator, the live facade its migration stages — so
+  :func:`fault_sites` enumerates the complete sweep surface, and the chaos
+  suite asserts every site fires.
 
 * **Inert by default.**  Production code guards every check with the
   singleton's ``active`` flag::
 
       if FAULTS.active:
-          FAULTS.check("instance.insert.link_shared")
+          FAULTS.check("reference.insert")
 
   When no plan is armed ``active`` is ``False`` and the entire layer costs
   one attribute read per site — and, crucially, **zero counted accesses**:

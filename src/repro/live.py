@@ -13,8 +13,8 @@ layout, compile, done.  This module closes the loop *online*:
   between tunings plus a total-variation drift threshold on the observed
   operation mix;
 * :class:`LiveRelation` — a :class:`~repro.core.interface.RelationInterface`
-  facade that owns the current backing implementation (reference,
-  interpreted or compiled), samples every operation, re-runs the autotuner
+  facade that owns the current backing implementation (reference or
+  compiled), samples every operation, re-runs the autotuner
   when the mix drifts, and **migrates between layouts via α**: both the old
   and the new layout provably represent the same relation, so migration is
   enumerate-the-old + reinsert-into-the-new (optionally spread over a
@@ -24,7 +24,7 @@ layout, compile, done.  This module closes the loop *online*:
 * :func:`open_relation` (re-exported as ``repro.open``) — the one factory
   behind every tier: ``repro.open(spec, layout, tier=..., tune=...,
   live=...)`` replaces reaching for ``ReferenceRelation``,
-  ``DecomposedRelation``, ``compile_relation`` or ``synthesize`` directly.
+  ``compile_relation`` or ``synthesize`` directly.
 
 The re-tune trace is synthesized from what the facade knows: inserts
 reconstructing the **current contents** (the data distribution) followed by
@@ -62,7 +62,6 @@ from .core.spec import RelationSpec
 from .core.tuples import Tuple
 from .decomposition.model import Decomposition
 from .decomposition.parser import parse_decomposition
-from .decomposition.relation import DecomposedRelation
 from .faults import FAULTS, register_site
 from .structures.registry import structure_names
 
@@ -509,10 +508,7 @@ class LiveRelation(RelationInterface):
 
     def backing_decomposition(self) -> Optional[Decomposition]:
         """The backing's decomposition, if it has one (reference has none)."""
-        decomposition = getattr(self._backing, "decomposition", None)
-        if decomposition is None:
-            decomposition = getattr(type(self._backing), "DECOMPOSITION", None)
-        return decomposition
+        return getattr(type(self._backing), "DECOMPOSITION", None)
 
     def backing_layout(self) -> Optional[str]:
         decomposition = self.backing_decomposition()
@@ -1195,9 +1191,7 @@ class LiveRelation(RelationInterface):
     # -- failure bookkeeping -----------------------------------------------------
 
     def _shape_of(self, backing: RelationInterface) -> Optional[PyTuple]:
-        decomposition = getattr(backing, "decomposition", None)
-        if decomposition is None:
-            decomposition = getattr(type(backing), "DECOMPOSITION", None)
+        decomposition = getattr(type(backing), "DECOMPOSITION", None)
         return canonical_shape(decomposition) if decomposition is not None else None
 
     def _record_failure(
@@ -1254,7 +1248,7 @@ class LiveRelation(RelationInterface):
 # -- the unified factory ---------------------------------------------------------
 
 #: The tiers :func:`open_relation` accepts.
-TIERS = ("auto", "reference", "interpreted", "compiled")
+TIERS = ("auto", "reference", "compiled")
 
 
 def default_layout(spec: RelationSpec) -> str:
@@ -1291,13 +1285,12 @@ def open_relation(
       minimal key).
 
     ``tier`` selects the implementation: ``"reference"`` (the
-    specification-level oracle; any layout is ignored), ``"interpreted"``
-    (:class:`~repro.decomposition.relation.DecomposedRelation`),
-    ``"compiled"`` (:func:`repro.codegen.compile_relation`), or ``"auto"``
-    (currently the compiled tier — the fast one).  ``sizes`` are optional
-    per-edge container-size estimates forwarded to the compiler's plan
-    table (ignored by the other tiers; rejected together with ``tune``,
-    whose winner carries its own trace-derived estimates).
+    specification-level oracle; any layout is ignored), ``"compiled"``
+    (:func:`repro.codegen.compile_relation`), or ``"auto"`` (currently the
+    compiled tier — the fast one).  ``sizes`` are optional per-edge
+    container-size estimates forwarded to the compiler's plan table
+    (ignored by the reference tier; rejected together with ``tune``, whose
+    winner carries its own trace-derived estimates).
 
     ``live=True`` wraps the backing in a :class:`LiveRelation` — an
     always-on sampled, self-re-tuning facade governed by ``policy`` (a
@@ -1343,14 +1336,11 @@ def open_relation(
     else:
         if decomposition is None:
             decomposition = parse_decomposition(default_layout(spec))
-        if tier == "interpreted":
-            backing = DecomposedRelation(spec, decomposition, enforce_fds=enforce_fds)
-        else:  # "compiled" and "auto"
-            if tuning is not None:
-                cls = tuning.compile_winner(class_name)
-            else:
-                cls = compile_relation(spec, decomposition, class_name, sizes=sizes)
-            backing = cls(enforce_fds=enforce_fds)
+        if tuning is not None:
+            cls = tuning.compile_winner(class_name)
+        else:
+            cls = compile_relation(spec, decomposition, class_name, sizes=sizes)
+        backing = cls(enforce_fds=enforce_fds)
 
     if not live:
         return backing

@@ -1,8 +1,9 @@
 """Primitive container library used by map decompositions.
 
-All containers implement the :class:`AssociativeContainer` key→value map
-interface and expose a cost model ``m_ψ(n)`` used by the query planner.
-The library mirrors the paper's C++ container set:
+Each container is described by an :class:`AssociativeContainer` subclass
+(name, ordering, intrusiveness, code-generation strategy and the cost model
+``m_ψ(n)`` used by the query planner); the code generator lowers it.  The
+library mirrors the paper's C++ container set:
 
 =============  =================================  ==========================
 Name           Paper counterpart                  Characteristics
@@ -16,10 +17,15 @@ Name           Paper counterpart                  Characteristics
 =============  =================================  ==========================
 """
 
-from .avltree import AVLTreeMap
-from .base import COUNTER, MISSING, AssociativeContainer, OperationCounter
-from .dlist import DListMap, IntrusiveListMap
-from .htable import HashTableMap
+from .base import COUNTER, AssociativeContainer, OperationCounter
+from .library import (
+    AVLTreeMap,
+    DListMap,
+    HashTableMap,
+    IndexedVectorMap,
+    IntrusiveListMap,
+    VectorMap,
+)
 from .registry import (
     STRUCTURE_REGISTRY,
     default_structure_names,
@@ -29,7 +35,6 @@ from .registry import (
     structure_cost,
     structure_names,
 )
-from .vector import IndexedVectorMap, VectorMap
 
 __all__ = [
     "AVLTreeMap",
@@ -39,7 +44,6 @@ __all__ = [
     "HashTableMap",
     "IndexedVectorMap",
     "IntrusiveListMap",
-    "MISSING",
     "OperationCounter",
     "STRUCTURE_REGISTRY",
     "VectorMap",

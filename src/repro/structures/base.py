@@ -1,60 +1,36 @@
-"""The associative-container interface and its cost model.
+"""Container descriptions and the access counter.
 
 Map decompositions ``C --ψ--> v`` are implemented by a data structure ψ
-drawn from an extensible library of primitives, all of which implement a
-common key→value associative-map interface (Section 3.1 and Section 6 of the
-paper).  This module defines that interface (:class:`AssociativeContainer`),
-the per-structure cost model ``m_ψ(n)`` used by the query planner's cost
-estimator, and a light-weight operation counter used by the autotuner's
-deterministic cost metric.
-
-Keys are :class:`repro.core.Tuple` values (projections of a tuple onto the
-map's key columns); values are arbitrary Python objects — in practice the
-node instances of a decomposition instance.
+drawn from an extensible library of primitives (Section 3.1 and Section 6
+of the paper).  The code generator (:mod:`repro.codegen`) lowers every
+structure itself, so a library entry is a *description*, not a runtime
+container: :class:`AssociativeContainer` carries what the lowering and the
+planner need — the structure's name, whether it is ordered or intrusive,
+how it is lowered, and its cost model ``m_ψ(n)`` — and
+:class:`OperationCounter` is the deterministic cost metric the generated
+code charges as it probes.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-from typing import Any, Iterator, List, Optional, Tuple as PyTuple
+from typing import Any
 
-from ..core.tuples import Tuple
-
-__all__ = ["AssociativeContainer", "OperationCounter", "COUNTER", "MISSING"]
-
-
-class _Missing:
-    """Sentinel distinguishing "no entry" from a stored ``None`` value."""
-
-    _instance: Optional["_Missing"] = None
-
-    def __new__(cls) -> "_Missing":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<MISSING>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-MISSING = _Missing()
+__all__ = ["AssociativeContainer", "OperationCounter", "COUNTER"]
 
 
 class OperationCounter:
     """Counts primitive container operations.
 
     The counter approximates "memory accesses": each probe of a list node,
-    hash bucket, or tree node counts as one access.  The autotuner can use
-    the counter as a deterministic, machine-independent cost metric, and
-    tests use it to verify asymptotic claims (e.g. that hash lookups touch
-    O(1) entries while list lookups touch O(n)).
+    hash bucket, or tree node counts as one access.  The autotuner uses it
+    as a deterministic, machine-independent cost metric, and tests use it
+    to verify asymptotic claims (e.g. that hash lookups touch O(1) entries
+    while list lookups touch O(n)).  Generated code charges it only while
+    ``enabled``, so uninstrumented runs pay one attribute read per probe.
     """
 
-    __slots__ = ("enabled", "accesses", "lookups", "inserts", "removals", "scans", "allocations")
+    __slots__ = ("enabled", "accesses")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -62,47 +38,6 @@ class OperationCounter:
 
     def reset(self) -> None:
         self.accesses = 0
-        self.lookups = 0
-        self.inserts = 0
-        self.removals = 0
-        self.scans = 0
-        self.allocations = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "accesses": self.accesses,
-            "lookups": self.lookups,
-            "inserts": self.inserts,
-            "removals": self.removals,
-            "scans": self.scans,
-            "allocations": self.allocations,
-        }
-
-    # The hot path is guarded by ``enabled`` so uninstrumented runs stay fast.
-
-    def count_access(self, amount: int = 1) -> None:
-        if self.enabled:
-            self.accesses += amount
-
-    def count_lookup(self) -> None:
-        if self.enabled:
-            self.lookups += 1
-
-    def count_insert(self) -> None:
-        if self.enabled:
-            self.inserts += 1
-
-    def count_removal(self) -> None:
-        if self.enabled:
-            self.removals += 1
-
-    def count_scan(self) -> None:
-        if self.enabled:
-            self.scans += 1
-
-    def count_allocation(self) -> None:
-        if self.enabled:
-            self.allocations += 1
 
     # -- context manager -------------------------------------------------------
 
@@ -115,21 +50,21 @@ class OperationCounter:
         self.enabled = False
 
 
-#: The library-wide counter used by all containers.
+#: The library-wide counter charged by every generated relation class.
 COUNTER = OperationCounter()
 
 
-class AssociativeContainer(abc.ABC):
-    """Abstract key→value associative map.
+class AssociativeContainer:
+    """Description of a key→value container usable on a map edge.
 
-    Concrete subclasses must define:
+    Subclasses define:
 
     * ``NAME`` — the identifier used in decompositions (``htable``, ``dlist``, ...),
     * ``ORDERED`` — whether iteration follows the key ordering,
     * ``INTRUSIVE`` — whether values are linked into the container so that
-      :meth:`remove_value` is constant time,
-    * :meth:`estimate_accesses` — the cost model ``m_ψ(n)``,
-    * the core operations below.
+      removing a held value is constant time,
+    * ``CODEGEN_STRATEGY`` — how the code generator lowers the structure,
+    * :meth:`estimate_accesses` — the cost model ``m_ψ(n)``.
     """
 
     #: Identifier used in decompositions and mapping files.
@@ -148,21 +83,6 @@ class AssociativeContainer(abc.ABC):
     #: linking a known-new entry and unlinking a held entry cost 1.
     #: Structures registered by users default to ``"hash"``.
     CODEGEN_STRATEGY: str = "hash"
-    #: The operations instrumented with :mod:`repro.faults` checks.  The
-    #: registry registers one named injection site per entry
-    #: (``structures.<NAME>.<op>``) when the class is registered, so the
-    #: chaos suite's sweep surface tracks the container library
-    #: automatically.  Subclasses that instrument extra operations
-    #: (``insert_unique``, ``remove_value``) extend this tuple.
-    FAULT_OPS: "PyTuple[str, ...]" = ("insert", "lookup", "remove")
-
-    #: No per-instance dict at the base: concrete containers declare their
-    #: own slots, and instances stay as small as the node records they
-    #: model.  (User-registered structures may still opt out by omitting
-    #: ``__slots__`` in their subclass.)
-    __slots__ = ()
-
-    # -- cost model --------------------------------------------------------------
 
     @classmethod
     def estimate_accesses(cls, n: float) -> float:
@@ -181,108 +101,6 @@ class AssociativeContainer(abc.ABC):
         lookup cost).  Intrusive structures override this with ``O(1)`` —
         the property that makes shared decompositions cheap to update."""
         return cls.estimate_accesses(n)
-
-    # -- core operations -----------------------------------------------------------
-
-    @abc.abstractmethod
-    def insert(self, key: Tuple, value: Any) -> None:
-        """Insert or overwrite the entry for *key*."""
-
-    @abc.abstractmethod
-    def lookup(self, key: Tuple) -> Any:
-        """Return the value stored under *key*, or :data:`MISSING`."""
-
-    @abc.abstractmethod
-    def remove(self, key: Tuple) -> bool:
-        """Remove the entry for *key*; return ``True`` if it existed."""
-
-    @abc.abstractmethod
-    def items(self) -> Iterator[PyTuple[Tuple, Any]]:
-        """Iterate over ``(key, value)`` pairs."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of entries."""
-
-    # -- derived operations ----------------------------------------------------------
-
-    def remove_value(self, key: Tuple, value: Any) -> bool:
-        """Remove the entry holding *value* (hint: stored under *key*).
-
-        Non-intrusive containers fall back to a key-based removal; intrusive
-        containers override this with a constant-time unlink.
-        """
-        return self.remove(key)
-
-    def insert_unique(self, key: Tuple, value: Any) -> None:
-        """Insert an entry the caller guarantees is not already present.
-
-        Non-intrusive containers fall back to :meth:`insert` (which may
-        search for an existing entry); intrusive containers override this
-        with a constant-time link.  Decomposition instances use it when the
-        shared-node registry proves a key is new to every parent container.
-        """
-        self.insert(key, value)
-
-    def items_range(
-        self, lo: "Optional[Tuple]" = None, hi: "Optional[Tuple]" = None
-    ) -> Iterator[PyTuple[Tuple, Any]]:
-        """Iterate ``(key, value)`` pairs with ``lo ≤ key ≤ hi`` in key-sort
-        order (both bounds inclusive; ``None`` leaves that side unbounded).
-
-        The default filters a fully-sorted scan — O(n log n) accesses —
-        which is correct for any container; :class:`ordered <AVLTreeMap>`
-        structures override it with a bounded descent that touches only
-        the boundary paths and the entries in range (O(log n + k)).
-        """
-        lo_key = lo.sort_key() if lo is not None else None
-        hi_key = hi.sort_key() if hi is not None else None
-        for key, value in self.sorted_items():
-            sort_key = key.sort_key()
-            if lo_key is not None and sort_key < lo_key:
-                continue
-            if hi_key is not None and sort_key > hi_key:
-                break
-            yield key, value
-
-    def keys(self) -> Iterator[Tuple]:
-        for key, _ in self.items():
-            yield key
-
-    def values(self) -> Iterator[Any]:
-        for _, value in self.items():
-            yield value
-
-    def get(self, key: Tuple, default: Any = None) -> Any:
-        found = self.lookup(key)
-        return default if found is MISSING else found
-
-    def __contains__(self, key: object) -> bool:
-        if not isinstance(key, Tuple):
-            return False
-        return self.lookup(key) is not MISSING
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return self.keys()
-
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    def clear(self) -> None:
-        """Remove every entry (default: repeated removal)."""
-        for key in list(self.keys()):
-            self.remove(key)
-
-    def sorted_items(self) -> List[PyTuple[Tuple, Any]]:
-        """Items sorted by key (deterministic order for tests and display)."""
-        return sorted(self.items(), key=lambda kv: kv[0].sort_key())
-
-    def __repr__(self) -> str:
-        entries = ", ".join(f"{k!r}: ..." for k, _ in self.sorted_items())
-        return f"{type(self).__name__}({{{entries}}})"
 
 
 def log2_cost(n: float) -> float:

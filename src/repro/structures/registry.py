@@ -1,10 +1,10 @@
-"""Registry of container implementations.
+"""Registry of container descriptions.
 
 The set of data structures usable in a decomposition is extensible
 (Section 3.1): "any data structure implementing a common interface may be
 used".  New containers are added by subclassing
-:class:`repro.structures.AssociativeContainer` and calling
-:func:`register_structure`.
+:class:`repro.structures.AssociativeContainer` (name, flags, lowering
+strategy, cost model) and calling :func:`register_structure`.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from ..core.errors import DecompositionError
-from ..faults import register_site
-from .avltree import AVLTreeMap
 from .base import AssociativeContainer
-from .dlist import DListMap, IntrusiveListMap
-from .htable import HashTableMap
-from .vector import IndexedVectorMap, VectorMap
+from .library import (
+    AVLTreeMap,
+    DListMap,
+    HashTableMap,
+    IndexedVectorMap,
+    IntrusiveListMap,
+    VectorMap,
+)
 
 __all__ = [
     "register_structure",
@@ -57,11 +60,6 @@ def register_structure(cls: Type[AssociativeContainer]) -> Type[AssociativeConta
             f"container name {name!r} already registered as an alias for {alias_target!r}"
         )
     STRUCTURE_REGISTRY[name] = cls
-    # Thread the fault-injection surface through the registry: one named
-    # site per instrumented container operation, so user-registered
-    # structures join the chaos suite's sweep with no further wiring.
-    for op in cls.FAULT_OPS:
-        register_site(f"structures.{name}.{op}")
     return cls
 
 
@@ -114,7 +112,7 @@ def structure_cost(name: str, n: float, operation: str = "lookup") -> float:
     otherwise).  The query planner's step costs
     (:mod:`repro.decomposition.plan`) go through this entry point, so
     user-registered containers participate in cost estimation with no
-    further wiring; the autotuner (see ROADMAP) will use it the same way.
+    further wiring; the autotuner's static scorer uses it the same way.
     """
     cls = get_structure(name)
     if operation == "lookup":
@@ -131,13 +129,11 @@ def structure_cost(name: str, n: float, operation: str = "lookup") -> float:
 def size_class(n: float) -> int:
     """The power-of-two bucket of a container size (``0, 1, 2, 4, 8, ...``).
 
-    Live cost-based planning re-ranks query plans only when a container's
-    *size class* changes rather than on every mutation: costs estimated from
-    ``n`` and from ``1.9 n`` never differ enough to flip an index-vs-scan
-    choice under the ``m_ψ(n)`` cost models, so plans are cached per size
-    class.  ``DecomposedRelation`` compares the per-edge size-class
-    signature of its instance on each planning request and invalidates its
-    plan cache when the signature moves.
+    Costs estimated from ``n`` and from ``1.9 n`` never differ enough to
+    flip an index-vs-scan choice under the ``m_ψ(n)`` cost models, so a
+    compiled plan table depends on its size estimates only through their
+    size classes: :func:`~repro.codegen.compile_relation` keys its class
+    cache on the per-edge size-class signature.
     """
     return int(n).bit_length() if n > 0 else 0
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+import repro
+from repro.codegen import compile_relation
 from repro.core import RelationSpec, t
 from repro.core.errors import AdequacyError, WellFormednessError
 from repro.decomposition import (
-    DecomposedRelation,
-    DecompositionInstance,
     adequacy_problems,
     check_adequacy,
     enforced_fds,
@@ -93,46 +93,64 @@ class TestAdequacyJudgement:
 
     def test_instance_construction_checks_adequacy(self, scheduler_spec):
         with pytest.raises(AdequacyError):
-            DecompositionInstance(parse_decomposition(INADEQUATE[0]), scheduler_spec)
+            compile_relation(scheduler_spec, parse_decomposition(INADEQUATE[0]))
         with pytest.raises(AdequacyError):
-            DecomposedRelation(scheduler_spec, INADEQUATE[1])
+            repro.open(scheduler_spec, INADEQUATE[1])
+
+
+def compiled(spec, layout):
+    return compile_relation(spec, layout)()
 
 
 class TestInstanceWellFormedness:
     def test_populated_instances_are_well_formed(self, scheduler_spec):
         for text in ADEQUATE:
-            rel = DecomposedRelation(scheduler_spec, text)
+            rel = compiled(scheduler_spec, text)
             rel.insert(t(ns=1, pid=1, state="R", cpu=0))
             rel.insert(t(ns=1, pid=2, state="S", cpu=1))
             rel.check_well_formed()
 
     def test_branch_disagreement_is_detected(self, scheduler_spec):
-        rel = DecomposedRelation(
+        rel = compiled(
             scheduler_spec,
             "[ns, pid -> htable {state, cpu} ; state -> htable ns, pid -> dlist {cpu}]",
         )
         rel.insert(t(ns=1, pid=1, state="R", cpu=0))
         rel.insert(t(ns=1, pid=2, state="S", cpu=1))
         # Corrupt the second branch behind the interface's back.
-        state_index = rel.instance.root.containers[1]
-        state_key = next(iter(state_index.keys()))
-        state_index.remove(state_key)
+        state_index = rel._root[1]
+        del state_index[next(iter(state_index))]
         with pytest.raises(WellFormednessError, match="disagree"):
             rel.check_well_formed()
 
     def test_wrong_key_columns_are_detected(self, scheduler_spec):
-        rel = DecomposedRelation(scheduler_spec, "ns, pid -> htable {state, cpu}")
+        rel = compiled(scheduler_spec, "ns, pid -> htable {state, cpu}")
         rel.insert(t(ns=1, pid=1, state="R", cpu=0))
-        container = rel.instance.root.containers[0]
-        value = next(iter(container.values()))
-        container.insert(t(ns=2), value)  # key missing the pid column
+        container = rel._root
+        container[2] = next(iter(container.values()))  # key missing the pid column
         with pytest.raises(WellFormednessError, match="key columns"):
             rel.check_well_formed()
 
     def test_dangling_empty_subinstance_is_detected(self, scheduler_spec):
-        rel = DecomposedRelation(scheduler_spec, "ns -> htable pid -> btree {state, cpu}")
+        rel = compiled(scheduler_spec, "ns -> htable pid -> btree {state, cpu}")
         rel.insert(t(ns=1, pid=1, state="R", cpu=0))
-        inner = rel.instance.root.containers[0].lookup(t(ns=1))
-        inner.containers[0].lookup(t(pid=1)).unit_value = None
+        rel._root[2] = {}  # an empty sub-instance the mutators would prune
         with pytest.raises(WellFormednessError, match="empty sub-instance"):
+            rel.check_well_formed()
+
+    def test_list_side_index_disagreement_is_detected(self, scheduler_spec):
+        # A list container's uncounted probes read only its side index, so
+        # an entry appended without indexing it (or a duplicate key) makes
+        # the fast path miss rows the counted walk still sees.
+        rel = compiled(scheduler_spec, "cpu -> dlist ns, pid -> htable {state}")
+        rel.insert(t(ns=1, pid=1, state="R", cpu=0))
+        rel.check_well_formed()
+        entries = rel._root
+        entries.append([1, {(2, 2): "S"}])  # appended, never indexed
+        with pytest.raises(WellFormednessError, match="side index"):
+            rel.check_well_formed()
+        entries.idx[1] = entries[-1]
+        entries.append([1, {(3, 3): "W"}])  # a second entry for key 1
+        entries.idx[1] = entries[-1]
+        with pytest.raises(WellFormednessError, match="side index"):
             rel.check_well_formed()

@@ -27,10 +27,11 @@ from repro.autotuner import (
     synthesize,
 )
 from repro.autotuner.scorer import ScoredCandidate
+from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple, t
 from repro.core.errors import AutotunerError, FunctionalDependencyError
 from repro.core.interface import RelationInterface
-from repro.decomposition import DecomposedRelation, is_adequate, parse_decomposition
+from repro.decomposition import is_adequate, parse_decomposition
 
 SCHEDULER_PATTERNS = [frozenset({"ns", "pid"}), frozenset({"state"})]
 
@@ -157,7 +158,7 @@ class TestTrace:
         recorder.update(t(state="R"), t(cpu=3))
         recorder.remove(t(pid=2))
         replayed = recorder.trace.replay(
-            DecomposedRelation(scheduler_spec, "ns, pid -> htable {state, cpu}")
+            compile_relation(scheduler_spec, "ns, pid -> htable {state, cpu}")()
         )
         assert replayed.to_relation() == recorder.to_relation()
 
@@ -225,6 +226,22 @@ class TestScorer:
         )
         layout = parse_decomposition("ns, pid -> htable {state, cpu}")
         assert exact_accesses(trace, layout) == exact_accesses(trace, layout)
+
+    def test_winner_is_scored_on_the_class_it_ships(self, scheduler_tuning):
+        """Exact scoring compiles each candidate as compile_winner() does,
+        so the winner's score is what its shipped class costs on the trace
+        — and that class comes straight from the codegen cache."""
+        from repro.codegen import codegen_cache_stats
+        from repro.structures import COUNTER
+
+        hits = codegen_cache_stats()["hits"]
+        cls = scheduler_tuning.compile_winner()
+        assert codegen_cache_stats()["hits"] == hits + 1
+        with COUNTER:
+            scheduler_tuning.trace.replay(cls())
+            shipped = COUNTER.accesses
+        assert shipped == scheduler_tuning.winner.accesses
+        assert all(c.accesses >= shipped for c in scheduler_tuning.replayed)
 
     def test_pareto_front_drops_dominated_candidates(self, scheduler_spec):
         layout = parse_decomposition("ns, pid -> htable {state, cpu}")

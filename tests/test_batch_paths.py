@@ -1,18 +1,13 @@
 """Batch mutation paths: streaming fully-indexed removes and in-place
 residual-only updates (PR 8).
 
-The execution-core refactor added three fused fast paths that skip the
-generic materialise/remove/re-insert machinery:
+The execution-core refactor added fused fast paths that skip the generic
+materialise/remove/re-insert machinery:
 
-* interpreted ``update`` with residual-only changes rewrites victims in
-  place through :meth:`DecomposedInstance.update_residuals`
-  (site ``instance.update.residual``);
-* compiled ``update`` with ``_RS``-covered changes dispatches to the
-  emitted ``_update_in_place`` (site ``codegen.update.in_place``);
-* compiled ``remove`` with a fully-indexed pattern takes the fused
-  single-victim ``_rm_<mask>`` chain (site ``codegen.remove.batch``);
-* interpreted ``remove`` with a pure-lookup plan streams the single
-  victim straight off the plan generator, with no victim list.
+* ``update`` with ``_RS``-covered (residual-only) changes dispatches to
+  the emitted ``_update_in_place`` (site ``codegen.update.in_place``);
+* ``remove`` with a fully-indexed pattern takes the fused single-victim
+  ``_rm_<mask>`` chain (site ``codegen.remove.batch``).
 
 Each path must be *provably taken* (the registered fault site fires when
 armed — a negative probe shows the slow path does not reach it), must be
@@ -37,7 +32,6 @@ from repro import RelationSpec, Tuple, t
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation
 from repro.core.errors import FaultInjected, FunctionalDependencyError
-from repro.decomposition import DecomposedRelation
 from repro.faults import FAULTS, fault_sites, inject
 from repro.structures import COUNTER
 
@@ -58,7 +52,6 @@ DOMAINS = {"ns": [0, 1, 2], "pid": [0, 1, 2, 3], "state": ["R", "S", "W"], "cpu"
 BATCH_SITES = (
     "codegen.remove.batch",
     "codegen.update.in_place",
-    "instance.update.residual",
 )
 
 
@@ -67,10 +60,8 @@ def scheduler_spec():
 
 
 def make_tier(tier, enforce_fds=True):
-    spec = scheduler_spec()
-    if tier == "interpreted":
-        return DecomposedRelation(spec, LAYOUT, enforce_fds=enforce_fds)
-    return compile_relation(spec, LAYOUT)(enforce_fds=enforce_fds)
+    assert tier == "compiled"
+    return compile_relation(scheduler_spec(), LAYOUT)(enforce_fds=enforce_fds)
 
 
 @pytest.fixture(autouse=True)
@@ -82,7 +73,7 @@ def _clean_injector():
 
 
 def test_batch_sites_are_registered_for_the_chaos_sweep():
-    """The three batch-path sites are in the global registry, so the
+    """The batch-path sites are in the global registry, so the
     ``test_faults`` chaos differential arms them automatically — the new
     fast paths joined the sweep surface the moment they were written."""
     sites = fault_sites()
@@ -143,30 +134,11 @@ class TestPathDispatch:
         assert rel.query(t(ns=0, pid=1))[0]["state"] == "W"
         assert FAULTS.fired_sites() == []
 
-    def test_interpreted_residual_update_takes_the_residual_path(self):
-        rel = self.seeded("interpreted")
-        before = rel.to_relation()
-        with inject("instance.update.residual"):
-            with pytest.raises(FaultInjected):
-                rel.update(t(ns=0, pid=1), t(cpu=1))
-        assert rel.to_relation() == before
-        rel.check_well_formed()
-        rel.update(t(ns=0, pid=1), t(cpu=1))
-        assert rel.query(t(ns=0, pid=1))[0]["cpu"] == 1
-
-    def test_interpreted_key_moving_update_avoids_the_residual_path(self):
-        rel = self.seeded("interpreted")
-        with inject("instance.update.residual"):
-            rel.update(t(ns=0, pid=1), t(state="W"))
-        assert rel.query(t(ns=0, pid=1))[0]["state"] == "W"
-        assert FAULTS.fired_sites() == []
-
 
 # -- mid-batch rollback -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("tier, site", [
-    ("interpreted", "instance.update.residual"),
     ("compiled", "codegen.update.in_place"),
 ])
 def test_multi_victim_residual_update_rolls_back_completely(tier, site):
@@ -185,9 +157,7 @@ def test_multi_victim_residual_update_rolls_back_completely(tier, site):
     assert rel.to_relation() == before, (
         "a fault mid-batch left earlier victims rewritten"
     )
-    check = getattr(rel, "check_well_formed", None)
-    if check is not None:
-        check()
+    rel.check_well_formed()
     rel.update(t(state="R"), t(cpu=1))  # the disarmed retry rewrites all six
     assert all(row["cpu"] == 1 for row in rel.query(t(state="R")))
 
@@ -203,7 +173,7 @@ class TestBatchAsymptotics:
             rel.insert(t(ns=i % 8, pid=i, state=rng.choice("RSW"), cpu=i % 4))
         return rel
 
-    @pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("tier", ["compiled"])
     def test_residual_update_is_cheaper_than_a_key_move(self, tier):
         rel = self.populate(tier)
         with COUNTER:
@@ -216,7 +186,7 @@ class TestBatchAsymptotics:
         # the whole unlink/re-link churn across both branches.
         assert residual < key_move / 2, (residual, key_move)
 
-    @pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("tier", ["compiled"])
     def test_fully_indexed_remove_is_a_lookup_not_a_scan(self, tier):
         rel = self.populate(tier)
         row = rel.query(t(pid=10))[0]
@@ -285,7 +255,7 @@ def _fault_probe(relation, mirror, site, victim_row, context):
 
 
 @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
-@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+@pytest.mark.parametrize("tier", ["compiled"])
 def test_batch_differential(tier, enforce_fds):
     """The seeded 1000-op differential, weighted toward the batch paths.
 
@@ -300,11 +270,7 @@ def test_batch_differential(tier, enforce_fds):
     rng = random.Random(0xBA7C4 + (1 if enforce_fds else 0))
     relation = make_tier(tier, enforce_fds)
     mirror = ReferenceRelation(scheduler_spec(), enforce_fds=enforce_fds)
-    probe_sites = (
-        ("instance.update.residual",)
-        if tier == "interpreted"
-        else ("codegen.update.in_place", "codegen.remove.batch")
-    )
+    probe_sites = BATCH_SITES
     probes = 0
 
     for step in range(BATCH_OPS):
@@ -357,9 +323,7 @@ def test_batch_differential(tier, enforce_fds):
             continue
         _agree(op, relation, mirror, context)
         if step % 100 == 0 or step == BATCH_OPS - 1:
-            check = getattr(relation, "check_well_formed", None)
-            if check is not None:
-                check()
+            relation.check_well_formed()
 
     assert probes >= 10 or BATCH_OPS < 250, "too few fault probes ran"
     fired = set(FAULTS.fired_sites())

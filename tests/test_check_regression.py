@@ -1,7 +1,7 @@
 """Tests for the benchmark regression gate (``benchmarks/check_regression.py``).
 
 Access-count regressions are always fatal; the timing check (compiled must
-beat interpreted) is advisory in quick mode, where wall-clock on shared CI
+beat the reference) is advisory in quick mode, where wall-clock on shared CI
 runners is unreliable by the module's own account.
 """
 
@@ -16,10 +16,10 @@ def report(mode="quick", accesses=1000, speedup=10.0, autotuned=400):
         "workloads": {
             "scheduler": {
                 "tiers": {
-                    "interpreted": {"accesses": accesses},
-                    "compiled": {"accesses": accesses // 2},
+                    "reference": {"accesses": 0},
+                    "compiled": {"accesses": accesses},
                 },
-                "speedup_compiled_vs_interpreted": speedup,
+                "speedup_compiled_vs_reference": speedup,
                 "autotuned": {"accesses": autotuned},
             }
         },
@@ -80,7 +80,7 @@ def test_timing_inversion_is_fatal_in_default_mode():
     baseline = report(mode="default")
     current = report(mode="default", speedup=0.7)
     failures, warnings = compare(current, baseline)
-    assert any("slower than the interpreted tier" in f for f in failures)
+    assert any("slower than the reference tier" in f for f in failures)
     assert warnings == []
 
 

@@ -4,7 +4,8 @@ The acceptance bar of the codegen tier: the exact seeded 1000-operation
 differential harness of ``test_differential.py`` — insert/remove/update/
 query mixes, FD-rejection agreement, α equality after every operation —
 run against classes produced by :func:`repro.codegen.compile_relation`
-for the same three layouts the interpreted tier is tested on.
+for the same three layouts, uncounted (``test_differential.py`` alternates
+the counted walks).
 """
 
 import random
@@ -35,7 +36,7 @@ def compiled_class(request, scheduler_spec):
 
 def test_differential_1000_ops_compiled(compiled_class, scheduler_spec):
     layout, cls = compiled_class
-    rng = random.Random(20110604)  # Same seed as the interpreted-tier run.
+    rng = random.Random(20110604)  # Same seed as test_differential.py.
     reference = ReferenceRelation(scheduler_spec)
     compiled = cls()
 

@@ -1,12 +1,12 @@
-"""Randomized differential testing: DecomposedRelation vs ReferenceRelation.
+"""Randomized differential testing: compiled relations vs ReferenceRelation.
 
 The paper's soundness theorem (Theorem 5) says that running any sequence of
 relational operations against an instance of an adequate, well-formed
 decomposition yields — through the abstraction function α — exactly the
 relation the specification-level reference implementation holds.  These
-tests check the dynamic counterpart: ~1000 seeded random operations are
-applied to both implementations in lockstep, asserting after **every**
-operation that
+tests check the dynamic counterpart on the classes the code generator
+emits: ~1000 seeded random operations are applied to both implementations
+in lockstep, asserting after **every** operation that
 
 * ``α(instance)`` equals the reference relation,
 * query results agree (as sets) for random patterns and outputs,
@@ -15,6 +15,12 @@ operation that
 
 and, periodically, that the instance stays well-formed (Figure 5) and that
 α always satisfies the specification's FDs.
+
+Generated code has two walks per probe — an instrumented one charging the
+access counter (what the autotuner scores) and an index-backed one taken
+when counting is off (what callers run) — so the runs here alternate
+between them: a relation that is only ever replayed one way can hide a
+corrupted side index from the other.
 """
 
 import random
@@ -24,10 +30,14 @@ import pytest
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple
 from repro.core.errors import FunctionalDependencyError
-from repro.decomposition import DecomposedRelation, parse_decomposition
+from repro.decomposition import parse_decomposition
+from repro.structures import COUNTER
 
-#: Two structurally distinct adequate decompositions of the scheduler spec
-#: (acceptance criterion: both must survive the 1000-op differential run).
+#: Structurally distinct adequate decompositions of the scheduler spec
+#: that must survive the 1000-op differential runs.  The last four put
+#: list-strategy containers (``dlist``, ``vector``) on an outer edge — a
+#: new child entry is appended for every fresh key — or link a shared
+#: record into them by reference.
 DECOMPOSITIONS = {
     "flat-htable": "ns, pid -> htable {state, cpu}",
     "scheduler-indexes": (
@@ -35,6 +45,16 @@ DECOMPOSITIONS = {
         " ; state -> htable (ns, pid -> dlist {cpu})]"
     ),
     "all-bound": "ns, pid -> btree (state, cpu -> dlist {})",
+    "dlist-outer": "cpu -> dlist ns, pid -> htable {state}",
+    "vector-outer": "state -> vector (ns, pid -> htable {cpu})",
+    "shared-dlist": (
+        "[ns, pid -> htable (state -> dlist @rec)"
+        " ; state -> htable (ns, pid -> dlist @rec)] where @rec = {cpu}"
+    ),
+    "shared-vector": (
+        "[state -> vector (ns, pid -> htable @rec)"
+        " ; ns, pid -> htable (state -> vector @rec)] where @rec = {cpu}"
+    ),
 }
 
 NS_DOMAIN = [0, 1, 2]
@@ -52,6 +72,26 @@ def random_full_tuple(rng: random.Random) -> Tuple:
 def random_pattern(rng: random.Random, max_columns: int = 3) -> Tuple:
     chosen = rng.sample(COLUMNS, k=rng.randint(0, max_columns))
     return Tuple({c: rng.choice(DOMAINS[c]) for c in chosen})
+
+
+class Counted:
+    """Forwards every call to *relation* with the access counter on, so the
+    generated code takes its instrumented walks instead of the index-backed
+    fast paths."""
+
+    def __init__(self, relation):
+        self.relation = relation
+
+    def __getattr__(self, name):
+        attr = getattr(self.relation, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            with COUNTER:
+                return attr(*args, **kwargs)
+
+        return counted
 
 
 def apply_both(op, reference, decomposed):
@@ -76,10 +116,13 @@ def test_differential_1000_ops(layout, scheduler_spec):
     rng = random.Random(20110604)  # PLDI 2011 started June 4th.
     decomposition = parse_decomposition(DECOMPOSITIONS[layout], name=layout)
     reference = ReferenceRelation(scheduler_spec)
-    decomposed = DecomposedRelation(scheduler_spec, decomposition)
+    compiled = compile_relation(scheduler_spec, decomposition)()
+    counted = Counted(compiled)
 
     operations = 0
     for step in range(1000):
+        # Alternate the instrumented and the fast walks over one instance.
+        decomposed = counted if step % 2 else compiled
         roll = rng.random()
         if roll < 0.45:
             tup = random_full_tuple(rng)
@@ -100,12 +143,12 @@ def test_differential_1000_ops(layout, scheduler_spec):
         operations += 1
 
         # The soundness property, after every single operation.
-        alpha = decomposed.to_relation()
+        alpha = compiled.to_relation()
         assert alpha == reference.to_relation(), (
             f"[{layout}] α diverged from the reference after step {step}"
         )
         if step % 100 == 0 or step == 999:
-            decomposed.check_well_formed()
+            compiled.check_well_formed()
             assert alpha.satisfies(scheduler_spec.fds)
 
     assert operations == 1000
@@ -113,22 +156,22 @@ def test_differential_1000_ops(layout, scheduler_spec):
 
 @pytest.mark.parametrize("layout", sorted(DECOMPOSITIONS))
 def test_differential_1000_ops_fd_off_three_tiers(layout, scheduler_spec):
-    """FD-*violating* op sequences agree across all three tiers.
+    """FD-*violating* op sequences agree across the reference and the
+    compiled relation, replayed both uncounted and counted.
 
     With ``enforce_fds=False`` every tier resolves FD conflicts
     last-writer-wins (see RelationInterface): the reference evicts
     conflicting tuples before adding, matching the structural behaviour of
-    the decomposed and compiled tiers — including on layouts with no unit
-    residual (``all-bound``), where the eviction cannot come from unit
-    bindings.  This test fails on the pre-fix code, where the reference
-    kept both conflicting tuples.
+    the compiled tier — including on layouts with no unit residual
+    (``all-bound``), where the eviction cannot come from unit bindings.
     """
     rng = random.Random(20110608)  # PLDI 2011 ended June 8th.
     decomposition = parse_decomposition(DECOMPOSITIONS[layout], name=layout)
     reference = ReferenceRelation(scheduler_spec, enforce_fds=False)
-    decomposed = DecomposedRelation(scheduler_spec, decomposition, enforce_fds=False)
-    compiled = compile_relation(scheduler_spec, decomposition)(enforce_fds=False)
-    tiers = (reference, decomposed, compiled)
+    cls = compile_relation(scheduler_spec, decomposition)
+    compiled = cls(enforce_fds=False)
+    counted = Counted(cls(enforce_fds=False))
+    tiers = (reference, compiled, counted)
 
     for step in range(1000):
         roll = rng.random()
@@ -153,19 +196,19 @@ def test_differential_1000_ops_fd_off_three_tiers(layout, scheduler_spec):
             pattern = random_pattern(rng)
             output = rng.sample(COLUMNS, k=rng.randint(1, 4))
             expected = set(reference.query(pattern, output))
-            assert set(decomposed.query(pattern, output)) == expected
             assert set(compiled.query(pattern, output)) == expected
+            assert set(counted.query(pattern, output)) == expected
 
         oracle = reference.to_relation()
-        assert decomposed.to_relation() == oracle, (
-            f"[{layout}] interpreted tier diverged from the reference at step {step}"
-        )
         assert compiled.to_relation() == oracle, (
             f"[{layout}] compiled tier diverged from the reference at step {step}"
         )
+        assert counted.to_relation() == oracle, (
+            f"[{layout}] counted compiled tier diverged at step {step}"
+        )
         if step % 100 == 0 or step == 999:
-            decomposed.check_well_formed()
             compiled.check_well_formed()
+            counted.check_well_formed()
             # Lemma 4: a representation only holds FD-satisfying relations,
             # and with the eviction semantics so does the oracle.
             assert oracle.satisfies(scheduler_spec.fds)
@@ -227,18 +270,21 @@ def _join_capable_compiled(layout: str, enforce_fds: bool):
 @pytest.mark.parametrize("layout", sorted(SPLIT_DECOMPOSITIONS))
 @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
 def test_differential_1000_ops_split_patterns_three_tiers(layout, enforce_fds):
-    """Split-across-branch queries agree across all three tiers.
+    """Split-across-branch queries agree across the reference and two
+    compiled plan tables.
 
     The op mix leans on patterns ({src} / {dst}) that only a key-projection
-    branch indexes, so the interpreted tier plans cross-branch joins with
-    live sizes and the compiled tier runs its join-bearing dispatch table —
+    branch indexes: one class is compiled with sizes that put cross-branch
+    joins into its dispatch table, the other at the symbolic size, where
+    the same patterns run single-path scans (and are replayed counted) —
     both FD-on (rejections must agree) and FD-off (evictions must agree).
     """
     rng = random.Random(20110606)
-    decomposition = SPLIT_DECOMPOSITIONS[layout]
     reference = ReferenceRelation(GRAPH_SPEC, enforce_fds=enforce_fds)
-    decomposed = DecomposedRelation(GRAPH_SPEC, decomposition, enforce_fds=enforce_fds)
     compiled = _join_capable_compiled(layout, enforce_fds)
+    single = compile_relation(GRAPH_SPEC, SPLIT_DECOMPOSITIONS[layout])
+    assert "join[" not in single.__source__
+    decomposed = Counted(single(enforce_fds=enforce_fds))
     tiers = (reference, decomposed, compiled)
 
     for step in range(1000):
@@ -273,7 +319,7 @@ def test_differential_1000_ops_split_patterns_three_tiers(layout, enforce_fds):
             output = rng.sample(GRAPH_COLUMNS, k=rng.randint(1, 3))
             expected = set(reference.query(pattern, output))
             assert set(decomposed.query(pattern, output)) == expected, (
-                f"[{layout}] interpreted query diverged at step {step}"
+                f"[{layout}] single-path query diverged at step {step}"
             )
             assert set(compiled.query(pattern, output)) == expected, (
                 f"[{layout}] compiled query diverged at step {step}"
@@ -281,7 +327,7 @@ def test_differential_1000_ops_split_patterns_three_tiers(layout, enforce_fds):
 
         oracle = reference.to_relation()
         assert decomposed.to_relation() == oracle, (
-            f"[{layout}] interpreted tier diverged at step {step}"
+            f"[{layout}] single-path tier diverged at step {step}"
         )
         assert compiled.to_relation() == oracle, (
             f"[{layout}] compiled tier diverged at step {step}"
@@ -296,8 +342,8 @@ def test_differential_1000_ops_split_patterns_three_tiers(layout, enforce_fds):
 def test_differential_without_fd_enforcement(layout, scheduler_spec):
     """FD-respecting op sequences agree even with enforcement turned off."""
     rng = random.Random(7)
-    decomposed = DecomposedRelation(
-        scheduler_spec, DECOMPOSITIONS[layout], enforce_fds=False
+    decomposed = Counted(
+        compile_relation(scheduler_spec, DECOMPOSITIONS[layout])(enforce_fds=False)
     )
     reference = ReferenceRelation(scheduler_spec, enforce_fds=False)
     live = {}
@@ -322,3 +368,4 @@ def test_differential_without_fd_enforcement(layout, scheduler_spec):
         assert decomposed.to_relation() == reference.to_relation()
     decomposed.check_well_formed()
     assert len(reference) == len(live)
+

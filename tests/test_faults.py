@@ -1,4 +1,4 @@
-"""Chaos differentials: seeded fault sweeps against every tier (PR 7).
+"""Chaos differentials: seeded fault sweeps against every tier.
 
 Exception safety is a property of *interleaving points*: a bug only shows
 when a failure lands at exactly the wrong instruction inside a mutator.
@@ -38,7 +38,6 @@ from repro.core.errors import (
     ReproError,
     RetuneFailed,
 )
-from repro.decomposition import DecomposedRelation
 from repro.faults import FAULTS, fault_sites, inject
 
 CHAOS_OPS = int(os.environ.get("REPRO_CHAOS_OPS", "1000"))
@@ -51,29 +50,33 @@ SHARED_LAYOUT = (
     " ; state -> htable (ns, pid -> ilist @rec)] where @rec = {cpu}"
 )
 
+#: The per-branch-copy twin: plain unit leaves (residual stores) and a
+#: list-strategy ``dlist`` whose entries are journalled through the list
+#: helpers — the interleaving points the shared layout does not have.
+COPIED_LAYOUT = "[ns, pid -> htable {state, cpu} ; state -> htable (ns, pid -> dlist {cpu})]"
+
 COLUMNS = ("ns", "pid", "state", "cpu")
 DOMAINS = {"ns": [0, 1, 2], "pid": [0, 1, 2, 3], "state": ["R", "S", "W"], "cpu": [0, 1]}
-
-#: Site prefixes that can actually fire per tier (the sweep arms *every*
-#: registered site; these are the ones whose firing we assert coverage of).
-TIER_PREFIXES = {
-    "reference": ("reference.",),
-    "interpreted": ("instance.", "structures."),
-    "compiled": ("codegen.",),
-}
 
 
 def scheduler_spec():
     return RelationSpec("ns, pid, state, cpu", fds=["ns, pid -> state, cpu"], name="process")
 
 
-def make_tier(tier, enforce_fds):
+def make_tier(tier, enforce_fds, layout=SHARED_LAYOUT):
     spec = scheduler_spec()
     if tier == "reference":
         return ReferenceRelation(spec, enforce_fds=enforce_fds)
-    if tier == "interpreted":
-        return DecomposedRelation(spec, SHARED_LAYOUT, enforce_fds=enforce_fds)
-    return compile_relation(spec, SHARED_LAYOUT)(enforce_fds=enforce_fds)
+    return compile_relation(spec, layout)(enforce_fds=enforce_fds)
+
+
+def own_sites(relation):
+    """The fault sites *relation*'s mutators can reach: the ones the code
+    generator emitted into its class, or the reference oracle's."""
+    meta = getattr(type(relation), "__repro_meta__", None)
+    if meta is not None:
+        return sorted(meta["fault_sites"])
+    return [s for s in fault_sites() if s.startswith("reference.")]
 
 
 def random_full_tuple(rng):
@@ -94,12 +97,13 @@ def _clean_injector():
     FAULTS.disarm()
 
 
-def test_sweep_surface_has_at_least_25_sites():
-    """The acceptance floor: ≥ 25 registered sites across all layers."""
+def test_sweep_surface_spans_every_layer():
+    """Every registered site belongs to a layer the sweeps below arm: the
+    two tiers' mutators and the live facade's re-tune stages."""
     sites = fault_sites()
-    assert len(sites) >= 25, sites
-    for prefix in ("structures.", "instance.", "codegen.", "reference.", "live."):
-        assert any(s.startswith(prefix) for s in sites), f"no {prefix}* sites"
+    assert len(sites) >= 18, sites
+    layers = {s.split(".")[0] for s in sites}
+    assert layers == {"codegen", "reference", "live"}, sorted(layers)
 
 
 def test_inject_context_manager_arms_and_always_disarms():
@@ -134,18 +138,94 @@ def _faulted(mutate, relation, alpha_before):
 
 
 @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
-@pytest.mark.parametrize("tier", ["reference", "interpreted", "compiled"])
+@pytest.mark.parametrize("tier", ["reference", "compiled"])
 def test_chaos_differential(tier, enforce_fds):
-    """The seeded differential with a fault armed at a new site every step.
+    """The seeded differential with a fault armed at a new site every step."""
+    _chaos_run(make_tier(tier, enforce_fds), tier, enforce_fds)
 
-    Sites cycle through the *entire* registry (so every site is swept) with
-    the target hit index deepening on every full cycle — later hits land at
-    interleaving points deeper inside multi-branch walks.
-    """
+
+@pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
+def test_chaos_differential_copied_layout(enforce_fds):
+    """The same sweep over the per-branch-copy layout's residual stores and
+    journalled list entries."""
+    _chaos_run(make_tier("compiled", enforce_fds, COPIED_LAYOUT), "compiled", enforce_fds)
+
+
+def test_every_registered_site_is_swept():
+    """The sweeps in this module cover the whole registry: each site is the
+    reference oracle's, a live stage, or emitted into one of the two swept
+    compiled layouts — and each of those fires in a per-site test below."""
+    swept = set(own_sites(make_tier("reference", True)))
+    for layout in (SHARED_LAYOUT, COPIED_LAYOUT):
+        swept |= set(own_sites(make_tier("compiled", True, layout)))
+    swept |= {s for s in fault_sites() if s.startswith("live.")}
+    assert swept == set(fault_sites())
+    assert {site for _, site in COMPILED_SITE_CASES} == {
+        s for s in fault_sites() if s.startswith("codegen.")
+    }
+
+
+#: The operation that must reach each emitted site on a seeded relation.
+SITE_OPS = {
+    "codegen.insert.store": lambda r: r.insert(t(ns=2, pid=3, state="W", cpu=1)),
+    "codegen.insert.registry": lambda r: r.insert(t(ns=2, pid=3, state="W", cpu=1)),
+    "codegen.insert.link_shared": lambda r: r.insert(t(ns=2, pid=3, state="W", cpu=1)),
+    "codegen.insert.fd_evict": lambda r: r.insert(t(ns=0, pid=1, state="W", cpu=1)),
+    "codegen.remove.unlink": lambda r: r.remove(t(ns=0)),
+    "codegen.remove.registry_pop": lambda r: r.remove(t(ns=0)),
+    "codegen.remove.batch": lambda r: r.remove(t(ns=0, pid=1, state="R")),
+    "codegen.update.in_place": lambda r: r.update(t(state="R"), t(cpu=1)),
+    "codegen.update.reinsert": lambda r: r.update(t(ns=0), t(state="W")),
+}
+
+COMPILED_SITE_CASES = [
+    (layout, site)
+    for layout in (SHARED_LAYOUT, COPIED_LAYOUT)
+    for site in own_sites(make_tier("compiled", True, layout))
+]
+
+
+@pytest.mark.parametrize(
+    "layout, site",
+    COMPILED_SITE_CASES,
+    ids=[
+        f"{'shared' if layout == SHARED_LAYOUT else 'copied'}-{site}"
+        for layout, site in COMPILED_SITE_CASES
+    ],
+)
+def test_compiled_rollback_per_site(layout, site):
+    """Each emitted site, deterministically: the armed operation reaches
+    it, rolls back completely, and the disarmed retry agrees with the
+    reference mirror."""
+    relation = make_tier("compiled", False, layout)
+    mirror = ReferenceRelation(scheduler_spec(), enforce_fds=False)
+    for row in (t(ns=0, pid=1, state="R", cpu=0), t(ns=0, pid=2, state="R", cpu=1),
+                t(ns=1, pid=1, state="S", cpu=0)):
+        relation.insert(row)
+        mirror.insert(row)
+    before = relation.to_relation()
+    op = SITE_OPS[site]
+    with inject(site):
+        with pytest.raises(FaultInjected):
+            op(relation)
+    assert relation.to_relation() == before, f"{site} left partial effects"
+    relation.check_well_formed()
+    op(relation)
+    op(mirror)
+    assert relation.to_relation() == mirror.to_relation()
+    relation.check_well_formed()
+
+
+def _chaos_run(relation, tier, enforce_fds):
+    """Sites cycle through every site *relation* can reach, with the target
+    hit index deepening on every full cycle — later hits land at
+    interleaving points deeper inside multi-branch walks (conflict
+    eviction only exists with FDs off)."""
     rng = random.Random(0xFA117 + (1 if enforce_fds else 0))
-    relation = make_tier(tier, enforce_fds)
     mirror = ReferenceRelation(scheduler_spec(), enforce_fds=enforce_fds)
-    sites = fault_sites()
+    sites = own_sites(relation)
+    if enforce_fds:
+        sites = [s for s in sites if s != "codegen.insert.fd_evict"]
 
     for step in range(CHAOS_OPS):
         site = sites[step % len(sites)]
@@ -198,18 +278,14 @@ def test_chaos_differential(tier, enforce_fds):
                 check()
 
     # The sweep must have actually exercised this tier's own sites, not
-    # just armed them: the seeded mix fires many distinct ones.
-    fired = set(FAULTS.fired_sites())
-    relevant = {
-        s for s in fired if s.startswith(TIER_PREFIXES[tier])
-    }
-    # The reference tier owns only 3 sites (one per mutator, each guarded
-    # by duplicate/FD early-outs), so its quick-mode floor is lower; the
-    # deterministic test below covers each of its sites individually.
+    # just armed them: the seeded mix fires many distinct ones.  The
+    # reference tier's 3 sites are each guarded by duplicate/FD early-outs,
+    # so its floor is lower; the deterministic per-site tests below fire
+    # every site of both tiers individually.
+    fired = set(FAULTS.fired_sites()) & set(sites)
     floor = (1 if tier == "reference" else 3) if CHAOS_OPS >= 250 else 1
-    assert len(relevant) >= floor, (
-        f"[{tier}] sweep fired only {sorted(relevant)} of its own sites "
-        f"(all fired: {sorted(fired)})"
+    assert len(fired) >= floor, (
+        f"[{tier}] sweep fired only {sorted(fired)} of its own sites {sites}"
     )
 
 
@@ -246,15 +322,14 @@ def test_reference_atomic_commit_per_site(enforce_fds):
 
 
 def live_relation(**policy_overrides):
-    """A live interpreted relation on a deliberately poor layout, warmed up
-    with a lookup-heavy workload so an unfaulted re-tune *will* swap."""
+    """A live relation on a deliberately poor layout, warmed up with a
+    lookup-heavy workload so an unfaulted re-tune *will* swap."""
     policy = {"auto": False, "min_ops": 1, "max_failures": 3, "migrate_batch": 4}
     policy.update(policy_overrides)
     spec = scheduler_spec()
     rel = repro.open(
         spec,
         "ns, pid -> dlist {state, cpu}",
-        tier="interpreted",
         live=True,
         policy=policy,
     )

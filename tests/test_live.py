@@ -33,7 +33,6 @@ from repro import (
 from repro.codegen import clear_codegen_cache, codegen_cache_stats
 from repro.core.errors import FunctionalDependencyError, LiveRelationError
 from repro.core.tuples import Tuple
-from repro.decomposition import DecomposedRelation
 from repro.live import default_layout
 
 EDGE_SPEC = RelationSpec("src, dst, weight", fds=["src, dst -> weight"], name="edge")
@@ -192,18 +191,21 @@ def test_automatic_retune_flips_to_reverse_layout():
 
 
 class TestRetune:
-    def make_live(self, **policy):
+    def make_live(self, layout=FORWARD_LAYOUT, **policy):
         policy.setdefault("auto", False)
-        live = open_relation(EDGE_SPEC, FORWARD_LAYOUT, live=True, policy=policy)
+        live = open_relation(EDGE_SPEC, layout, live=True, policy=policy)
         for i in range(40):
             s, d = divmod(i, 8)
             live.insert(t(src=s, dst=d, weight=i))
         return live
 
     def test_noop_when_layout_already_optimal(self):
-        live = self.make_live()
+        # Point lookups on the full key: one flat hash probe per query and
+        # per insert's FD check, which no candidate beats on compiled counts
+        # (a nested or branched layout pays a second probe everywhere).
+        live = self.make_live("src, dst -> htable {weight}")
         for _ in range(200):
-            live.query(t(src=3), None)
+            live.query(t(src=3, dst=2), None)
         report = live.retune()
         assert not report.swapped
         assert live.generation == 0
@@ -295,7 +297,6 @@ class TestFacadeContract:
     def test_wraps_any_tier(self):
         for backing in (
             ReferenceRelation(EDGE_SPEC),
-            DecomposedRelation(EDGE_SPEC, FORWARD_LAYOUT),
             compile_relation(EDGE_SPEC, parse_decomposition(FORWARD_LAYOUT))(),
         ):
             live = LiveRelation(backing, policy={"auto": False})
@@ -329,15 +330,17 @@ class TestOpenFactory:
     def test_tiers(self):
         layout = FORWARD_LAYOUT
         ref = repro.open(EDGE_SPEC, layout, tier="reference")
-        interp = repro.open(EDGE_SPEC, layout, tier="interpreted")
         compiled = repro.open(EDGE_SPEC, layout, tier="compiled")
         auto = repro.open(EDGE_SPEC, layout)
         assert isinstance(ref, ReferenceRelation)
-        assert isinstance(interp, DecomposedRelation)
         assert type(compiled).__name__.startswith("Compiled")
         assert type(auto) is type(compiled)  # auto == compiled, same cache entry
-        for r in (ref, interp, compiled):
+        for r in (ref, compiled):
             assert isinstance(r, RelationInterface)
+        # "interpreted" is not a tier: the error names the valid ones.
+        with pytest.raises(LiveRelationError, match="interpreted") as excinfo:
+            repro.open(EDGE_SPEC, layout, tier="interpreted")
+        assert "compiled" in str(excinfo.value) and "reference" in str(excinfo.value)
 
     def test_default_layout_is_adequate_everywhere(self):
         for spec in (
@@ -346,7 +349,7 @@ class TestOpenFactory:
             RelationSpec("a, b"),  # no FDs: the key is the full column set
         ):
             layout = default_layout(spec)
-            r = repro.open(spec, tier="interpreted")
+            r = repro.open(spec, tier="compiled")
             assert parse_decomposition(layout) is not None
             row = {c: 1 for c in spec.columns}
             r.insert(t(**row))
@@ -362,15 +365,29 @@ class TestOpenFactory:
         r = repro.open(EDGE_SPEC, tune=trace)
         assert "dst -> htable" in type(r).DECOMPOSITION.describe()
 
-    def test_tune_with_layout_includes_it_as_baseline(self):
+    def test_tune_with_layout_includes_it_as_baseline(self, monkeypatch):
+        import repro.live as live_module
+        from repro.autotuner import canonical_shape
+
         trace = Trace(EDGE_SPEC, name="tuned")
         for i in range(10):
             trace.record("insert", t(src=i, dst=i, weight=i))
-        r = repro.open(EDGE_SPEC, FORWARD_LAYOUT, tune=trace, tier="interpreted")
-        assert isinstance(r, DecomposedRelation)
+        tunings = []
+        real_autotune = live_module.autotune
+
+        def recording_autotune(*args, **kwargs):
+            tunings.append(real_autotune(*args, **kwargs))
+            return tunings[-1]
+
+        monkeypatch.setattr(live_module, "autotune", recording_autotune)
+        r = repro.open(EDGE_SPEC, FORWARD_LAYOUT, tune=trace, tier="compiled")
+        (tuning,) = tunings
+        replayed = {canonical_shape(c.decomposition) for c in tuning.replayed}
+        assert canonical_shape(parse_decomposition(FORWARD_LAYOUT)) in replayed
+        assert type(r).DECOMPOSITION.describe() == tuning.winner_layout
 
     def test_enforce_fds_propagates(self):
-        for tier in ("reference", "interpreted", "compiled"):
+        for tier in ("reference", "compiled"):
             r = repro.open(EDGE_SPEC, FORWARD_LAYOUT, tier=tier, enforce_fds=False)
             r.insert(t(src=1, dst=2, weight=3))
             r.insert(t(src=1, dst=2, weight=4))  # evicts, does not raise
@@ -394,7 +411,6 @@ class TestInterfaceConformance:
         compiled_cls = compile_relation(EDGE_SPEC, parse_decomposition(FORWARD_LAYOUT))
         tiers = [
             ReferenceRelation(EDGE_SPEC),
-            DecomposedRelation(EDGE_SPEC, FORWARD_LAYOUT),
             compiled_cls(),
         ]
         tiers.append(TraceRecorder(compiled_cls()))

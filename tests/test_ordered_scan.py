@@ -1,20 +1,20 @@
-"""Ordered range scans: ``items_range`` on ``avl`` and ``query_range`` tiers.
+"""Ordered range scans: ``query_range`` on ``avl``-rooted and other layouts.
 
 ROADMAP named ``avl`` range iteration as never exercised; these tests pin it
 at every layer:
 
-* the container itself — :meth:`AVLTreeMap.items_range` agrees with a
-  filtered sorted scan, yields in key order, and touches O(log n + k)
-  counted accesses (a bounded descent, not a full in-order walk);
-* the generic fallback — every container answers ``items_range`` through
-  the base class's filtered sort;
+* the ordered root index — a compiled ``ts -> avl`` relation answers
+  ``query_range`` in key order, agrees with a filtered sorted scan, and
+  charges O(log n + k) counted accesses (a bounded descent, not a full
+  in-order walk);
+* the generic fallback — an unordered root answers ``query_range``
+  through the interface's filtered sort;
 * the relation operation — ``query_range`` returns the identical ordered
-  list on all three tiers (reference, interpreted, compiled), under a
-  seeded differential interleaving range scans with mutations, on ordered
-  and unordered layouts alike;
+  list on the reference and the compiled tier, under a seeded
+  differential interleaving range scans with mutations, on ordered and
+  unordered layouts alike;
 * the asymptotics — an ordered root index serves a narrow window cheaply
-  where a hash-rooted layout pays a full scan, in the interpreted and the
-  compiled tier both.
+  where a hash-rooted layout pays a full scan.
 """
 
 import random
@@ -24,10 +24,7 @@ import pytest
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple
 from repro.core.errors import FunctionalDependencyError
-from repro.decomposition import DecomposedRelation
 from repro.structures import COUNTER
-from repro.structures.avltree import AVLTreeMap
-from repro.structures.htable import HashTableMap
 
 SPEC = RelationSpec("ts, sensor, reading", fds=["ts -> sensor, reading"], name="event")
 
@@ -43,77 +40,69 @@ LAYOUTS = {
 SENSORS = ["temp", "flow", "volt"]
 
 
-def fill(container, n, rng):
+def fill(relation, n, rng):
     expected = {}
     for value in rng.sample(range(n * 3), n):
-        key = Tuple(ts=value)
-        container.insert(key, value * 10)
+        relation.insert(Tuple(ts=value, sensor="temp", reading=value * 10))
         expected[value] = value * 10
     return expected
+
+
+def window(relation, lo=None, hi=None):
+    return [(row["ts"], row["reading"]) for row in relation.query_range("ts", lo, hi)]
 
 
 class TestItemsRange:
     def test_agrees_with_filtered_sorted_scan(self):
         rng = random.Random(7)
-        tree = AVLTreeMap()
+        tree = compile_relation(SPEC, LAYOUTS["avl-root"])()
         expected = fill(tree, 120, rng)
-        lo, hi = Tuple(ts=50), Tuple(ts=200)
-        got = list(tree.items_range(lo, hi))
-        want = [
-            (Tuple(ts=v), expected[v]) for v in sorted(expected) if 50 <= v <= 200
-        ]
-        assert got == want
+        want = [(v, expected[v]) for v in sorted(expected) if 50 <= v <= 200]
+        assert window(tree, 50, 200) == want
 
     def test_open_bounds(self):
         rng = random.Random(8)
-        tree = AVLTreeMap()
+        tree = compile_relation(SPEC, LAYOUTS["avl-root"])()
         expected = fill(tree, 60, rng)
-        inorder = [(Tuple(ts=v), expected[v]) for v in sorted(expected)]
-        assert list(tree.items_range()) == inorder
-        assert list(tree.items_range(lo=Tuple(ts=90))) == [
-            e for e in inorder if e[0]["ts"] >= 90
-        ]
-        assert list(tree.items_range(hi=Tuple(ts=90))) == [
-            e for e in inorder if e[0]["ts"] <= 90
-        ]
+        inorder = [(v, expected[v]) for v in sorted(expected)]
+        assert window(tree) == inorder
+        assert window(tree, lo=90) == [e for e in inorder if e[0] >= 90]
+        assert window(tree, hi=90) == [e for e in inorder if e[0] <= 90]
 
     def test_empty_window_and_empty_tree(self):
-        tree = AVLTreeMap()
-        assert list(tree.items_range(Tuple(ts=1), Tuple(ts=2))) == []
+        tree = compile_relation(SPEC, LAYOUTS["avl-root"])()
+        assert window(tree, 1, 2) == []
         fill(tree, 30, random.Random(9))
-        assert list(tree.items_range(Tuple(ts=-5), Tuple(ts=-1))) == []
+        assert window(tree, -5, -1) == []
 
     def test_bounded_descent_accesses(self):
-        """A narrow window touches O(log n + k) nodes, not all n."""
-        tree = AVLTreeMap()
+        """A narrow window touches O(log n + k) entries, not all n."""
+        tree = compile_relation(SPEC, LAYOUTS["avl-root"])()
         fill(tree, 512, random.Random(10))
         with COUNTER:
-            hits = list(tree.items_range(Tuple(ts=100), Tuple(ts=110)))
+            hits = window(tree, 100, 110)
             accesses = COUNTER.accesses
         assert hits  # The window is non-trivial.
-        # Bounded descent: two boundary paths (≤ tree height each, ~1.44 log2 n)
-        # plus the in-range nodes — far below the 512 an in-order walk visits.
+        # Bounded descent: the boundary probes (~log2 n) plus the in-range
+        # entries — far below the 512 an in-order walk visits.
         assert accesses <= 2 * 15 + len(hits) + 5
         with COUNTER:
-            list(tree.items())
+            tree.query()
             full_walk = COUNTER.accesses
         assert accesses < full_walk / 4
 
     def test_generic_fallback_on_unordered_container(self):
         rng = random.Random(11)
-        table = HashTableMap()
+        table = compile_relation(SPEC, LAYOUTS["hash-root"])()
+        assert not hasattr(type(table), "_range_rows")  # no ordered index to use
         expected = fill(table, 80, rng)
-        got = list(table.items_range(Tuple(ts=40), Tuple(ts=160)))
-        want = [
-            (Tuple(ts=v), expected[v]) for v in sorted(expected) if 40 <= v <= 160
-        ]
-        assert got == want
+        want = [(v, expected[v]) for v in sorted(expected) if 40 <= v <= 160]
+        assert window(table, 40, 160) == want
 
 
 def build_tiers(layout, enforce_fds=True):
     return {
         "reference": ReferenceRelation(SPEC, enforce_fds=enforce_fds),
-        "interpreted": DecomposedRelation(SPEC, layout, enforce_fds=enforce_fds),
         "compiled": compile_relation(SPEC, layout)(enforce_fds=enforce_fds),
     }
 
@@ -146,8 +135,7 @@ class TestQueryRangeDifferential:
         """Range scans interleaved with mutations agree across all tiers.
 
         The reference tier's generic filtered scan is the oracle; the
-        interpreted and compiled tiers must return the **identical ordered
-        list** — not merely the same set — whether they serve the scan
+        compiled tier must return the **identical ordered list** — not merely the same set — whether they serve the scan
         from an ordered root index or from the fallback.  FD-violating
         inserts must be rejected (or evicted) identically everywhere.
         """
@@ -206,12 +194,7 @@ class TestQueryRangeDifferential:
 
 
 class TestOrderedIndexAsymptotics:
-    def populate(self, layout, n=256):
-        relation = (
-            DecomposedRelation(SPEC, layout)
-            if isinstance(layout, str)
-            else layout
-        )
+    def populate(self, relation, n=256):
         rng = random.Random(13)
         stamps = list(range(n))
         rng.shuffle(stamps)
@@ -226,23 +209,15 @@ class TestOrderedIndexAsymptotics:
             hits = relation.query_range("ts", lo, hi)
             return len(hits), COUNTER.accesses
 
-    def test_interpreted_ordered_root_beats_hash_root(self):
-        ordered = self.populate(LAYOUTS["avl-root"])
-        hashed = self.populate(LAYOUTS["hash-root"])
-        hits, ordered_accesses = self.measure(ordered, 100, 107)
-        hash_hits, hash_accesses = self.measure(hashed, 100, 107)
-        assert hits == hash_hits > 0
-        # The ordered root serves the window by bounded descent; the hash
-        # root filters a full scan of all 256 rows.
-        assert hash_accesses >= 256
-        assert ordered_accesses < hash_accesses / 4
-
     def test_compiled_ordered_root_beats_fallback(self):
         ordered = self.populate(compile_relation(SPEC, LAYOUTS["avl-root"])())
         hashed = self.populate(compile_relation(SPEC, LAYOUTS["hash-root"])())
         hits, ordered_accesses = self.measure(ordered, 100, 107)
         hash_hits, hash_accesses = self.measure(hashed, 100, 107)
         assert hits == hash_hits > 0
+        # The ordered root serves the window by bounded descent; the hash
+        # root filters a full scan of all 256 rows.
+        assert hash_accesses >= 256
         assert ordered_accesses < hash_accesses / 4
 
 
@@ -261,7 +236,6 @@ class TestOrderedScanWorkload:
         assert any(op[0] == "range" for op in workload.trace)
         tiers = {
             "reference": ReferenceRelation(workload.spec),
-            "interpreted": DecomposedRelation(workload.spec, workload.layout),
             "compiled": compile_relation(workload.spec, workload.layout)(),
         }
         final = None

@@ -1,7 +1,8 @@
-"""Query planning and the DecomposedRelation operations."""
+"""Query planning and the operations of a relation compiled from a decomposition."""
 
 import pytest
 
+from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, t
 from repro.core.errors import (
     FunctionalDependencyError,
@@ -10,10 +11,8 @@ from repro.core.errors import (
     TupleError,
 )
 from repro.decomposition import (
-    DecomposedRelation,
     LookupStep,
     ScanStep,
-    execute_plan,
     parse_decomposition,
     plan_query,
 )
@@ -64,44 +63,38 @@ class TestPlanner:
         assert "lookup" in plan_query(decomposition, "ns, pid").describe()
         assert "scan" in plan_query(decomposition, []).describe()
 
-    def test_execute_rejects_pattern_missing_planned_columns(
-        self, decomposition, scheduler_spec
-    ):
-        from repro.decomposition import DecompositionInstance
-
-        instance = DecompositionInstance(decomposition, scheduler_spec)
-        with pytest.raises(QueryPlanError, match="cannot execute"):
-            list(execute_plan(plan_query(decomposition, "ns"), instance, t(state="R")))
-        # A pattern binding fewer columns than the plan's lookups need must
-        # be rejected up front, not crash inside a lookup step.
-        with pytest.raises(QueryPlanError, match="cannot execute"):
-            list(execute_plan(plan_query(decomposition, "ns, pid"), instance, t(ns=1)))
-
     def test_execute_accepts_pattern_binding_extra_columns(
         self, decomposition, scheduler_spec
     ):
-        from repro.decomposition import DecompositionInstance
-
-        instance = DecompositionInstance(decomposition, scheduler_spec)
-        instance.insert_tuple(t(ns=1, pid=1, state="R", cpu=0))
-        instance.insert_tuple(t(ns=1, pid=2, state="R", cpu=1))
-        plan = plan_query(decomposition, "ns")
-        results = list(execute_plan(plan, instance, t(ns=1, cpu=1)))
+        # A pattern binding a column beyond the {ns} lookup runs the same
+        # lookup chain and filters the extra column at the leaf.
+        rel = compile_relation(scheduler_spec, decomposition)()
+        rel.insert(t(ns=1, pid=1, state="R", cpu=0))
+        rel.insert(t(ns=1, pid=2, state="R", cpu=1))
+        results = rel.query(t(ns=1, cpu=1))
         assert results == [t(ns=1, pid=2, state="R", cpu=1)]
+        plans = {
+            tuple(q["pattern"]): q["plan"] for q in type(rel).__repro_meta__["queries"].values()
+        }
+        assert plans[("cpu", "ns")].startswith(plans[("ns",)].split(" | ")[0])
+
+
+def compiled(spec, layout, enforce_fds=True):
+    return compile_relation(spec, layout)(enforce_fds=enforce_fds)
 
 
 class TestDecomposedRelationOps:
     @pytest.fixture(params=["ns, pid -> htable {state, cpu}", SCHEDULER])
     def rel(self, request, scheduler_spec):
-        rel = DecomposedRelation(scheduler_spec, request.param)
+        rel = compiled(scheduler_spec, request.param)
         rel.insert(t(ns=1, pid=1, state="R", cpu=0))
         rel.insert(t(ns=1, pid=2, state="S", cpu=1))
         rel.insert(t(ns=2, pid=1, state="R", cpu=1))
         return rel
 
     def test_accepts_textual_decomposition(self, scheduler_spec):
-        rel = DecomposedRelation(scheduler_spec, "ns, pid -> htable {state, cpu}")
-        assert rel.decomposition.structures() == ["htable"]
+        rel = compiled(scheduler_spec, "ns, pid -> htable {state, cpu}")
+        assert type(rel).DECOMPOSITION.structures() == ["htable"]
 
     def test_insert_query_roundtrip(self, rel):
         assert len(rel) == 3
@@ -121,9 +114,7 @@ class TestDecomposedRelationOps:
         assert len(rel) == 3  # nothing was clobbered
 
     def test_unenforced_insert_overwrites_unit(self, scheduler_spec):
-        rel = DecomposedRelation(
-            scheduler_spec, "ns, pid -> htable {state, cpu}", enforce_fds=False
-        )
+        rel = compiled(scheduler_spec, "ns, pid -> htable {state, cpu}", enforce_fds=False)
         rel.insert(t(ns=1, pid=1, state="R", cpu=0))
         rel.insert(t(ns=1, pid=1, state="Z", cpu=5))
         assert rel.query({"ns": 1, "pid": 1}, "state")[0]["state"] == "Z"
@@ -136,9 +127,7 @@ class TestDecomposedRelationOps:
         from repro.core import RelationSpec
 
         spec = RelationSpec("a, b", fds=["a -> b", "b -> a"], name="bijective")
-        rel = DecomposedRelation(
-            spec, "[a -> htable {b} ; b -> htable {a}]", enforce_fds=False
-        )
+        rel = compiled(spec, "[a -> htable {b} ; b -> htable {a}]", enforce_fds=False)
         rel.insert(t(a=1, b=2))
         rel.insert(t(a=1, b=3))  # violates a -> b against the first tuple
         rel.check_well_formed()
@@ -164,7 +153,7 @@ class TestDecomposedRelationOps:
     def test_remove_everything(self, rel):
         rel.remove()
         assert len(rel) == 0
-        assert rel.instance.is_empty()
+        assert rel.query() == [] and not rel
         rel.check_well_formed()
 
     def test_remove_missing_is_noop(self, rel):
@@ -205,6 +194,11 @@ class TestDecomposedRelationOps:
             assert rel.to_relation() == ref.to_relation()
 
     def test_plan_cache_is_reused(self, rel):
-        first = rel.plan_for("ns, pid")
-        again = rel.plan_for(["pid", "ns"])
-        assert first is again
+        # The pattern-shape memo resolves a pattern's compiled plan once;
+        # the same shape (in any column order) reuses that entry.
+        memo = rel.query.__globals__["_VCOLS"]
+        rel.query(t(ns=1, pid=1))
+        first = dict(memo)
+        rel.query(t(pid=2, ns=1))
+        assert memo == first
+        assert memo[("ns", "pid")] is rel.query.__globals__["_VPLANS"][0b0110]

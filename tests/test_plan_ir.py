@@ -4,9 +4,10 @@ Covers the recursive plan IR introduced for split-pattern queries:
 
 * key-projection branches are adequate and instances over them stay
   well-formed (projected branch agreement);
-* the planner answers a split pattern with a :class:`JoinPlan` once live
-  sizes show the join paying off, and the join is strictly cheaper than
-  the best single-path plan on counted accesses;
+* the planner answers a split pattern with a :class:`JoinPlan` once the
+  workload's container sizes show the join paying off, the compiled class
+  carries that plan, and it is strictly cheaper than the best single-path
+  plan on counted accesses;
 * every plan the planner returns passes the Figure 8 FD-closure validity
   check, and hand-built invalid plans are rejected with diagnostics naming
   the underdetermined columns;
@@ -18,6 +19,9 @@ import random
 
 import pytest
 
+import repro.codegen.compiler as compiler_mod
+from repro.autotuner import Trace
+from repro.autotuner.scorer import estimate_edge_sizes
 from repro.codegen import (
     clear_codegen_cache,
     codegen_cache_stats,
@@ -26,12 +30,10 @@ from repro.codegen import (
 from repro.core import ReferenceRelation, RelationSpec, Tuple
 from repro.core.errors import QueryPlanError
 from repro.decomposition import (
-    DecomposedRelation,
     JoinPlan,
     LookupStep,
     QueryPlan,
     converging_plans,
-    execute_plan,
     parse_decomposition,
     path_steps,
     plan_query,
@@ -47,19 +49,66 @@ SPLIT = "[src -> htable (dst -> htable {weight}) ; dst -> htable (src -> htable 
 
 
 def populated(n_edges=200, nodes=40, seed=3):
+    """A compiled SPLIT relation (and its reference mirror) whose plan table
+    was ranked against the sizes its own rows imply; returns the sizes too,
+    keyed by the edges of ``type(rel).DECOMPOSITION``."""
     rng = random.Random(seed)
-    rel = DecomposedRelation(GRAPH_SPEC, SPLIT)
-    ref = ReferenceRelation(GRAPH_SPEC)
     edges = {}
     while len(edges) < n_edges:
         edges.setdefault(
             (rng.randrange(nodes), rng.randrange(nodes)), rng.randrange(9)
         )
-    for (s, d), w in edges.items():
-        tup = Tuple(src=s, dst=d, weight=w)
-        rel.insert(tup)
-        ref.insert(tup)
-    return rel, ref
+    rows = [Tuple(src=s, dst=d, weight=w) for (s, d), w in edges.items()]
+    decomposition = parse_decomposition(SPLIT)
+    trace = Trace(GRAPH_SPEC, [("insert", row) for row in rows])
+    sizes = estimate_edge_sizes(decomposition, trace.profile())
+    rel = compile_relation(GRAPH_SPEC, decomposition, sizes=sizes)()
+    ref = ReferenceRelation(GRAPH_SPEC)
+    for row in rows:
+        rel.insert(row)
+        ref.insert(row)
+    return rel, ref, sizes
+
+
+def compiled_plan(rel, pattern_cols):
+    """The plan description behind *rel*'s specialised method for a pattern."""
+    for query in type(rel).__repro_meta__["queries"].values():
+        if frozenset(query["pattern"]) == frozenset(pattern_cols):
+            return query["plan"]
+    raise KeyError(pattern_cols)
+
+
+def compile_with_plan(decomposition, pattern_cols, plan, class_name, monkeypatch):
+    """Compile *decomposition* with *plan* forced into the dispatch table
+    for *pattern_cols* (every other pattern planned as usual)."""
+    real_plan_query = compiler_mod.plan_query
+
+    def forced(d, subset, *args, **kwargs):
+        if d is decomposition and frozenset(subset) == frozenset(pattern_cols):
+            return plan
+        return real_plan_query(d, subset, *args, **kwargs)
+
+    monkeypatch.setattr(compiler_mod, "plan_query", forced)
+    cls = compile_relation(GRAPH_SPEC, decomposition, class_name=class_name)
+    monkeypatch.setattr(compiler_mod, "plan_query", real_plan_query)
+    return cls
+
+
+def hash_join_plan(decomposition, pattern_cols):
+    """The hash flavour of the {dst} join: both chains enumerated
+    independently, matched on the full common column set."""
+    paths = decomposition.paths()
+    build = QueryPlan(paths[1], path_steps(paths[1], pattern_cols), pattern_cols)
+    probe = QueryPlan(paths[0], path_steps(paths[0], pattern_cols), pattern_cols)
+    plan = JoinPlan(build, probe, paths[0].covered & paths[1].covered, pattern_cols, "hash")
+    validate_plan(plan, GRAPH_SPEC)
+    return plan
+
+
+def fill(relation, ref):
+    for tup in sorted(ref.to_relation().tuples, key=Tuple.sort_key):
+        relation.insert(tup)
+    return relation
 
 
 def join_friendly_sizes(decomposition):
@@ -75,22 +124,21 @@ def join_friendly_sizes(decomposition):
 
 class TestKeyProjectionInstances:
     def test_split_layout_is_adequate_and_well_formed(self):
-        rel, ref = populated()
+        rel, ref, _ = populated()
         rel.check_well_formed()
         assert rel.to_relation() == ref.to_relation()
 
     def test_projected_branch_agreement_detects_corruption(self):
         from repro.core.errors import WellFormednessError
 
-        rel, _ = populated(n_edges=20, nodes=6)
-        secondary = rel.instance.root.containers[1]
-        key = next(iter(secondary.keys()))
-        secondary.remove(key)
+        rel, _, _ = populated(n_edges=20, nodes=6)
+        secondary = rel._root[1]
+        del secondary[next(iter(secondary))]
         with pytest.raises(WellFormednessError, match="disagree"):
             rel.check_well_formed()
 
     def test_removal_through_the_key_projection_branch(self):
-        rel, ref = populated(n_edges=40, nodes=8)
+        rel, ref, _ = populated(n_edges=40, nodes=8)
         victim = next(iter(ref.to_relation().tuples))
         rel.remove(victim.project(["src", "dst"]))
         ref.remove(victim.project(["src", "dst"]))
@@ -100,70 +148,75 @@ class TestKeyProjectionInstances:
 
 class TestJoinPlanning:
     def test_live_sizes_flip_the_split_pattern_to_a_join(self):
-        rel, _ = populated()
-        plan = rel.plan_for(frozenset({"dst"}))
+        # The workload's own container sizes (not the symbolic uniform
+        # size) put a join plan into the compiled dispatch table.
+        rel, _, sizes = populated()
+        d = type(rel).DECOMPOSITION
+        plan = plan_query(d, frozenset({"dst"}), sizes=sizes, spec=GRAPH_SPEC)
         assert isinstance(plan, JoinPlan)
         assert plan.style == "probe"
         # The probe side becomes pure lookups once the build side binds src.
         assert all(isinstance(s, LookupStep) for s in plan.probe.steps)
+        assert compiled_plan(rel, {"dst"}) == plan.describe()
 
     def test_symbolic_ranking_keeps_the_single_path(self):
         # At the uniform symbolic size the join cannot win (in-degree looks
         # as large as the whole src level), so the structural choice is the
-        # scanning chain — the flip is a live-size decision.
+        # scanning chain — the flip is a size-driven decision.
         d = parse_decomposition(SPLIT)
         plan = plan_query(d, {"dst"}, spec=GRAPH_SPEC)
         assert isinstance(plan, QueryPlan)
 
     def test_fully_bound_pattern_needs_no_join(self):
-        rel, _ = populated()
-        plan = rel.plan_for(frozenset({"src", "dst"}))
+        rel, _, sizes = populated()
+        plan = plan_query(
+            type(rel).DECOMPOSITION, frozenset({"src", "dst"}), sizes=sizes, spec=GRAPH_SPEC
+        )
         assert isinstance(plan, QueryPlan)
         assert all(isinstance(s, LookupStep) for s in plan.steps)
+        assert compiled_plan(rel, {"src", "dst"}) == plan.describe()
 
     def test_join_results_match_the_reference(self):
-        rel, ref = populated()
+        rel, ref, _ = populated()
         for dst in range(8):
             assert set(rel.query(Tuple(dst=dst))) == set(ref.query(Tuple(dst=dst)))
             assert set(rel.query(Tuple(dst=dst), "src, weight")) == set(
                 ref.query(Tuple(dst=dst), "src, weight")
             )
 
-    def test_join_is_strictly_cheaper_than_the_best_single_path(self):
-        rel, _ = populated()
-        sizes = rel.instance.edge_sizes()
-        join = plan_query(rel.decomposition, {"dst"}, sizes=sizes, spec=GRAPH_SPEC)
-        single = plan_query(
-            rel.decomposition, {"dst"}, sizes=sizes, spec=GRAPH_SPEC, allow_join=False
+    def test_join_is_strictly_cheaper_than_the_best_single_path(self, monkeypatch):
+        rel, ref, sizes = populated()
+        d = type(rel).DECOMPOSITION
+        single = plan_query(d, {"dst"}, sizes=sizes, spec=GRAPH_SPEC, allow_join=False)
+        assert isinstance(single, QueryPlan)
+        assert "join[" in compiled_plan(rel, {"dst"})
+        scanned = fill(
+            compile_with_plan(d, {"dst"}, single, "Compiled_single_path_test", monkeypatch)(),
+            ref,
         )
-        assert isinstance(join, JoinPlan) and isinstance(single, QueryPlan)
         pattern = Tuple(dst=1)
         with COUNTER:
-            join_rows = set(execute_plan(join, rel.instance, pattern))
+            join_rows = set(rel.query(pattern))
             join_accesses = COUNTER.accesses
         with COUNTER:
-            single_rows = set(execute_plan(single, rel.instance, pattern))
+            single_rows = set(scanned.query(pattern))
             single_accesses = COUNTER.accesses
-        assert join_rows == single_rows
+        assert join_rows == single_rows == set(ref.query(pattern))
         assert join_accesses < single_accesses
 
-    def test_hash_style_join_executes_correctly(self):
-        # Hand-build the hash flavour (both sides enumerated independently,
-        # matched on the full common column set) and check it agrees with
-        # the planner's probe flavour.
-        rel, ref = populated()
-        d = rel.decomposition
-        paths = d.paths()
-        pattern_cols = frozenset({"dst"})
-        build = QueryPlan(paths[1], path_steps(paths[1], pattern_cols), pattern_cols)
-        probe = QueryPlan(paths[0], path_steps(paths[0], pattern_cols), pattern_cols)
-        plan = JoinPlan(
-            build, probe, paths[0].covered & paths[1].covered, pattern_cols, "hash"
+    def test_hash_style_join_executes_correctly(self, monkeypatch):
+        # Force the hash flavour into a compiled class and check it agrees
+        # with the planner's probe flavour (and the reference).
+        rel, ref, _ = populated()
+        d = parse_decomposition(SPLIT)
+        plan = hash_join_plan(d, frozenset({"dst"}))
+        hashed = fill(
+            compile_with_plan(d, {"dst"}, plan, "Compiled_hash_flavour_test", monkeypatch)(),
+            ref,
         )
-        validate_plan(plan, GRAPH_SPEC)
         for dst in range(6):
-            got = set(execute_plan(plan, rel.instance, Tuple(dst=dst)))
-            assert got == set(ref.query(Tuple(dst=dst)))
+            got = set(hashed.query(Tuple(dst=dst)))
+            assert got == set(rel.query(Tuple(dst=dst))) == set(ref.query(Tuple(dst=dst)))
 
     def test_shared_leaf_convergence_stays_a_degenerate_join(self, scheduler_spec):
         shared = parse_decomposition(
@@ -177,14 +230,15 @@ class TestJoinPlanning:
 
 class TestFigure8Validity:
     def test_every_planner_plan_is_valid(self):
-        rel, _ = populated()
+        rel, _, sizes = populated()
+        d = type(rel).DECOMPOSITION
         cols = sorted(GRAPH_SPEC.columns)
-        sizes = rel.instance.edge_sizes()
         for mask in range(2 ** len(cols)):
             subset = frozenset(c for i, c in enumerate(cols) if mask >> i & 1)
-            plan = plan_query(rel.decomposition, subset, sizes=sizes, spec=GRAPH_SPEC)
+            plan = plan_query(d, subset, sizes=sizes, spec=GRAPH_SPEC)
             witness = validate_plan(plan, GRAPH_SPEC)
             assert witness.valid and not witness.missing
+            assert compiled_plan(rel, subset) == plan.describe()
 
     def test_truncated_chain_rejected_naming_missing_columns(self):
         d = parse_decomposition(SPLIT)
@@ -228,17 +282,16 @@ class TestFigure8Validity:
             validate_plan(bogus, GRAPH_SPEC)
 
     def test_witness_is_printed_by_describe(self):
-        rel, _ = populated()
-        plan = rel.plan_for(frozenset({"dst"}))
-        text = plan.describe()
+        rel, _, _ = populated()
+        text = compiled_plan(rel, {"dst"})
         assert "binds" in text and "checks" in text and "closes" in text
 
     def test_explicit_residual_filter_is_printed(self):
-        rel, _ = populated()
+        rel, _, sizes = populated()
         plan = plan_query(
-            rel.decomposition,
+            type(rel).DECOMPOSITION,
             {"src", "weight"},
-            sizes=rel.instance.edge_sizes(),
+            sizes=sizes,
             spec=GRAPH_SPEC,
         )
         assert "filter[weight]" in plan.describe()
@@ -255,7 +308,7 @@ class TestCompiledJoinTier:
         join_cls = compile_relation(GRAPH_SPEC, d, sizes=join_friendly_sizes(d))
         scan_cls = compile_relation(GRAPH_SPEC, parse_decomposition(SPLIT))
         joined, scanned = join_cls(), scan_cls()
-        _, ref = populated()
+        _, ref, _ = populated()
         for tup in sorted(ref.to_relation().tuples, key=Tuple.sort_key):
             joined.insert(tup)
             scanned.insert(tup)
@@ -274,34 +327,14 @@ class TestCompiledHashJoin:
     def test_generated_hash_join_code_agrees_with_reference(self, monkeypatch):
         """Force a hash-flavour join into the compiled dispatch table and
         execute the generated temporary-table code against the reference."""
-        import repro.codegen.compiler as compiler_mod
-
         clear_codegen_cache()
         d = parse_decomposition(SPLIT)
-        paths = d.paths()
-        pattern_cols = frozenset({"dst"})
-        build = QueryPlan(paths[1], path_steps(paths[1], pattern_cols), pattern_cols)
-        probe = QueryPlan(paths[0], path_steps(paths[0], pattern_cols), pattern_cols)
-        hash_plan = JoinPlan(
-            build, probe, paths[0].covered & paths[1].covered, pattern_cols, "hash"
-        )
-        validate_plan(hash_plan, GRAPH_SPEC)
-
-        real_plan_query = compiler_mod.plan_query
-
-        def forced(decomposition, subset, *args, **kwargs):
-            if decomposition is d and frozenset(subset) == pattern_cols:
-                return hash_plan
-            return real_plan_query(decomposition, subset, *args, **kwargs)
-
-        monkeypatch.setattr(compiler_mod, "plan_query", forced)
-        cls = compile_relation(GRAPH_SPEC, d, class_name="Compiled_hash_join_test")
+        plan = hash_join_plan(d, frozenset({"dst"}))
+        cls = compile_with_plan(d, {"dst"}, plan, "Compiled_hash_join_test", monkeypatch)
         assert "_tbl" in cls.__source__  # The temporary-table emission ran.
 
-        compiled = cls()
-        _, ref = populated()
-        for tup in sorted(ref.to_relation().tuples, key=Tuple.sort_key):
-            compiled.insert(tup)
+        _, ref, _ = populated()
+        compiled = fill(cls(), ref)
         compiled.check_well_formed()
         with COUNTER:
             for dst in range(10):

@@ -6,13 +6,13 @@ The tentpole guarantees, each pinned here:
   (``@name`` references + ``where`` clause);
 * adequacy types shared decompositions once per ``(node, bound)`` pair and
   rejects shared nodes reached with inconsistent bound sets;
-* instances materialise **one** record object per binding, reachable from
-  every parent edge, with intrusive O(1) unlink on removal (the
-  ``OperationCounter`` asymptotics tests);
+* compiled instances materialise **one** record cell per binding,
+  reachable from every parent edge, with unrolled intrusive O(1) unlink on
+  removal (the ``OperationCounter`` asymptotics tests);
 * the planner knows converging branches land on the same record;
-* the compiled tier lowers sharing to genuinely shared cells with unrolled
-  constant-time unlink, and a 1000-op seeded differential run keeps all
-  three tiers in lockstep (FDs enforced and FD-off);
+* a 1000-op seeded differential run keeps the reference and the compiled
+  relation — replayed uncounted and counted — in lockstep (FDs enforced
+  and FD-off);
 * the autotuner enumerates shared candidates and proposes ``ilist`` only
   where a parent holds the record by reference.
 """
@@ -30,7 +30,6 @@ from repro.core.errors import (
     WellFormednessError,
 )
 from repro.decomposition import (
-    DecomposedRelation,
     DecompNode,
     MapEdge,
     adequacy_problems,
@@ -41,6 +40,7 @@ from repro.decomposition import (
     plan_query,
 )
 from repro.structures import COUNTER
+from test_differential import Counted
 
 #: The paper's shared scheduler: one process record reached from both the
 #: primary-key index and the per-state lists, unlinked in O(1) via ilist.
@@ -69,15 +69,15 @@ def random_pattern(rng: random.Random, max_columns: int = 3) -> Tuple:
 
 
 def shared_record_instance(relation, ns, pid, state):
-    """Navigate both branches of a SHARED-layout instance to the record."""
-    inst = relation.instance
-    via_pk = inst.root.containers[0].lookup(Tuple(ns=ns, pid=pid)).containers[0].lookup(
-        Tuple(state=state)
-    )
-    via_state = inst.root.containers[1].lookup(Tuple(state=state)).containers[0].lookup(
-        Tuple(ns=ns, pid=pid)
-    )
+    """Navigate both branches of a compiled SHARED-layout instance to the
+    record cell."""
+    via_pk = relation._root[0][(ns, pid)][state]
+    via_state = relation._root[1][state][(ns, pid)]
     return via_pk, via_state
+
+
+def compiled(spec, layout, enforce_fds=True):
+    return compile_relation(spec, layout)(enforce_fds=enforce_fds)
 
 
 class TestParserSharing:
@@ -177,57 +177,33 @@ class TestAdequacySharing:
 
 class TestInstanceSharing:
     def test_one_record_object_reachable_from_both_branches(self, scheduler_spec):
-        relation = DecomposedRelation(scheduler_spec, SHARED)
+        relation = compiled(scheduler_spec, SHARED)
         relation.insert(t(ns=1, pid=2, state="R", cpu=0))
         via_pk, via_state = shared_record_instance(relation, 1, 2, "R")
         assert via_pk is via_state
-        assert via_pk.unit_value == Tuple(cpu=0)
+        assert via_pk is relation._s0[(1, 2, "R")]
+        assert via_pk == [0]  # the residual {cpu}, boxed once
 
     def test_registry_empties_with_the_relation(self, scheduler_spec):
-        relation = DecomposedRelation(scheduler_spec, SHARED)
+        relation = compiled(scheduler_spec, SHARED)
         for pid in range(8):
             relation.insert(t(ns=0, pid=pid, state="R", cpu=0))
         relation.remove(None)
-        assert relation.is_empty()
-        (registry,) = relation.instance._shared.values()
-        assert registry == {}
+        assert not relation
+        assert relation._s0 == {}
         relation.check_well_formed()
 
     def test_well_formedness_detects_broken_sharing(self, scheduler_spec):
-        from repro.decomposition import NodeInstance
-
-        relation = DecomposedRelation(scheduler_spec, SHARED)
+        relation = compiled(scheduler_spec, SHARED)
         relation.insert(t(ns=1, pid=2, state="R", cpu=0))
-        # Replace the state-branch entry with a same-valued copy: α still
+        # Replace the primary-branch entry with a same-valued copy: α still
         # agrees, but the sharing invariant is gone.
-        state_node = relation.instance.root.containers[1].lookup(Tuple(state="R"))
-        (rec_node,) = relation.decomposition.shared_nodes()
-        clone = NodeInstance(rec_node)
-        clone.unit_value = Tuple(cpu=0)
-        state_node.containers[0].insert(Tuple(ns=1, pid=2), clone)
+        relation._root[0][(1, 2)]["R"] = [0]
         with pytest.raises(WellFormednessError, match="sharing invariant"):
             relation.check_well_formed()
 
-    def test_interpreted_unlink_is_constant_time(self, scheduler_spec):
-        def remove_cost(layout, n):
-            relation = DecomposedRelation(scheduler_spec, layout)
-            for pid in range(n):
-                relation.insert(t(ns=0, pid=pid, state="R", cpu=0))
-            with COUNTER as counter:
-                relation.remove(Tuple(ns=0, pid=n - 1))
-                return counter.accesses
-
-        shared_small, shared_large = remove_cost(SHARED, 32), remove_cost(SHARED, 256)
-        copied_small, copied_large = remove_cost(COPIED, 32), remove_cost(COPIED, 256)
-        # Shared: O(1) — independent of the state list length (small slack
-        # for hash-chain jitter).
-        assert shared_large <= shared_small + 4
-        # Copied: genuinely linear in the per-state list.
-        assert copied_large >= 4 * copied_small
-        assert shared_large < copied_large
-
     def test_update_through_shared_records(self, scheduler_spec):
-        relation = DecomposedRelation(scheduler_spec, SHARED)
+        relation = compiled(scheduler_spec, SHARED)
         reference = ReferenceRelation(scheduler_spec)
         for r in (relation, reference):
             r.insert(t(ns=0, pid=1, state="R", cpu=0))
@@ -257,16 +233,27 @@ class TestPlannerSharing:
         d = parse_decomposition(SHARED)
         assert converging_plans(d, "ns, pid") == []
 
-    def test_converging_plans_yield_identical_results(self, scheduler_spec):
-        from repro.decomposition import execute_plan
+    def test_converging_plans_yield_identical_results(self, scheduler_spec, monkeypatch):
+        import repro.codegen.compiler as compiler_mod
 
-        relation = DecomposedRelation(scheduler_spec, SHARED)
-        relation.insert(t(ns=1, pid=2, state="R", cpu=0))
+        d = parse_decomposition(SHARED)
         pattern = Tuple(ns=1, pid=2, state="R")
-        results = [
-            list(execute_plan(plan, relation.instance, pattern))
-            for plan in converging_plans(relation.decomposition, pattern.columns)
-        ]
+        real_plan_query = compiler_mod.plan_query
+        results = []
+        for i, plan in enumerate(converging_plans(d, pattern.columns)):
+
+            def forced(decomposition, subset, *args, _plan=plan, **kwargs):
+                if frozenset(subset) == pattern.columns:
+                    return _plan
+                return real_plan_query(decomposition, subset, *args, **kwargs)
+
+            monkeypatch.setattr(compiler_mod, "plan_query", forced)
+            cls = compile_relation(scheduler_spec, d, class_name=f"Compiled_converging_{i}")
+            relation = cls()
+            relation.insert(t(ns=1, pid=2, state="R", cpu=0))
+            relation.insert(t(ns=1, pid=3, state="R", cpu=1))
+            results.append(relation.query(pattern))
+        assert len(results) == 2
         assert results[0] == results[1] == [t(ns=1, pid=2, state="R", cpu=0)]
 
 
@@ -310,12 +297,14 @@ class TestCompiledSharing:
 
 class TestSharedDifferential:
     def test_differential_1000_ops_three_tiers(self, scheduler_spec):
-        """FD-respecting sequences: reference vs interpreted vs compiled in
-        lockstep on the shared scheduler layout, α checked after every op."""
+        """FD-respecting sequences: the reference and the compiled relation,
+        replayed uncounted and counted, in lockstep on the shared scheduler
+        layout, α checked after every op."""
         rng = random.Random(20110604)  # PLDI 2011 started June 4th.
         reference = ReferenceRelation(scheduler_spec)
-        decomposed = DecomposedRelation(scheduler_spec, SHARED)
-        compiled = compile_relation(scheduler_spec, SHARED, class_name="CShDiff")()
+        cls = compile_relation(scheduler_spec, SHARED, class_name="CShDiff")
+        decomposed = Counted(cls())
+        compiled = cls()
         tiers = (reference, decomposed, compiled)
 
         def apply_all(op):
@@ -350,7 +339,7 @@ class TestSharedDifferential:
                 assert set(compiled.query(pattern, output)) == expected
 
             oracle = reference.to_relation()
-            assert decomposed.to_relation() == oracle, f"interpreted diverged at {step}"
+            assert decomposed.to_relation() == oracle, f"counted diverged at {step}"
             assert compiled.to_relation() == oracle, f"compiled diverged at {step}"
             if step % 100 == 0 or step == 999:
                 decomposed.check_well_formed()
@@ -359,14 +348,13 @@ class TestSharedDifferential:
 
     def test_differential_1000_ops_fd_off_three_tiers(self, scheduler_spec):
         """FD-*violating* sequences with enforcement off: last-writer-wins
-        eviction must flow through the shared records identically in every
-        tier (the FD-off eviction path unlinks through shared nodes)."""
+        eviction must flow through the shared records identically on both
+        walks (the FD-off eviction path unlinks through shared nodes)."""
         rng = random.Random(20110608)  # PLDI 2011 ended June 8th.
         reference = ReferenceRelation(scheduler_spec, enforce_fds=False)
-        decomposed = DecomposedRelation(scheduler_spec, SHARED, enforce_fds=False)
-        compiled = compile_relation(scheduler_spec, SHARED, class_name="CShOff")(
-            enforce_fds=False
-        )
+        cls = compile_relation(scheduler_spec, SHARED, class_name="CShOff")
+        decomposed = Counted(cls(enforce_fds=False))
+        compiled = cls(enforce_fds=False)
         tiers = (reference, decomposed, compiled)
 
         for step in range(1000):
@@ -392,7 +380,7 @@ class TestSharedDifferential:
                 assert set(compiled.query(pattern, output)) == expected
 
             oracle = reference.to_relation()
-            assert decomposed.to_relation() == oracle, f"interpreted diverged at {step}"
+            assert decomposed.to_relation() == oracle, f"counted diverged at {step}"
             assert compiled.to_relation() == oracle, f"compiled diverged at {step}"
             if step % 100 == 0 or step == 999:
                 decomposed.check_well_formed()

@@ -1,12 +1,21 @@
-"""The AssociativeContainer contract, checked for every registered container."""
+"""The container contract, checked for every registered structure.
+
+A structure is a description the code generator lowers (see
+:mod:`repro.structures.base`), so the contract is checked on what ships:
+the one-edge relation ``k -> <structure> {v}`` compiled for each
+registered structure must behave as a key→value map, with the counted
+asymptotics its cost model claims.
+"""
+
+import random
 
 import pytest
 
-from repro.core import t
+from repro.codegen import compile_relation
+from repro.core import RelationSpec, t
 from repro.core.errors import DecompositionError
 from repro.structures import (
     COUNTER,
-    MISSING,
     STRUCTURE_REGISTRY,
     AVLTreeMap,
     default_structure_names,
@@ -18,79 +27,112 @@ from repro.structures import (
 
 ALL_NAMES = sorted(STRUCTURE_REGISTRY)
 
+KV = RelationSpec("k, v", fds=["k -> v"], name="kv")
+NAMED = RelationSpec("name, v", fds=["name -> v"], name="named")
+
+
+def kv_map(name, spec=KV, enforce_fds=True):
+    key = "k" if spec is KV else "name"
+    return compile_relation(spec, f"{key} -> {name} {{v}}")(enforce_fds=enforce_fds)
+
+
+def lookup(relation, key):
+    """The value stored under *key*, or ``None`` when there is none."""
+    rows = relation.query(t(k=key), "v")
+    assert len(rows) <= 1
+    return rows[0]["v"] if rows else None
+
 
 @pytest.fixture(params=ALL_NAMES)
-def container(request):
-    return STRUCTURE_REGISTRY[request.param]()
+def name(request):
+    return request.param
 
 
-KEYS = [t(k=i) for i in range(8)]
+KEYS = range(8)
 
 
 class TestContract:
-    def test_insert_lookup_roundtrip(self, container):
-        for i, key in enumerate(KEYS):
-            container.insert(key, f"v{i}")
-        for i, key in enumerate(KEYS):
-            assert container.lookup(key) == f"v{i}"
+    def test_insert_lookup_roundtrip(self, name):
+        container = kv_map(name)
+        for i in KEYS:
+            container.insert(t(k=i, v=f"v{i}"))
+        for i in KEYS:
+            assert lookup(container, i) == f"v{i}"
         assert len(container) == len(KEYS)
+        container.check_well_formed()
 
-    def test_lookup_missing(self, container):
-        assert container.lookup(t(k=99)) is MISSING
-        assert container.get(t(k=99), "default") == "default"
+    def test_lookup_missing(self, name):
+        container = kv_map(name)
+        assert lookup(container, 99) is None
+        container.insert(t(k=1, v="x"))
+        assert lookup(container, 99) is None
 
-    def test_insert_overwrites(self, container):
-        container.insert(t(k=0), "old")
-        container.insert(t(k=0), "new")
-        assert container.lookup(t(k=0)) == "new"
+    def test_insert_overwrites(self, name):
+        # Last writer wins on the key (FD enforcement off evicts the old row).
+        container = kv_map(name, enforce_fds=False)
+        container.insert(t(k=0, v="old"))
+        container.insert(t(k=0, v="new"))
+        assert lookup(container, 0) == "new"
         assert len(container) == 1
+        container.check_well_formed()
 
-    def test_remove(self, container):
-        container.insert(t(k=0), "a")
-        container.insert(t(k=1), "b")
-        assert container.remove(t(k=0)) is True
-        assert container.remove(t(k=0)) is False
-        assert container.lookup(t(k=0)) is MISSING
-        assert container.lookup(t(k=1)) == "b"
+    def test_remove(self, name):
+        container = kv_map(name)
+        container.insert(t(k=0, v="a"))
+        container.insert(t(k=1, v="b"))
+        container.remove(t(k=0))
         assert len(container) == 1
+        container.remove(t(k=0))  # Removing a missing key is a no-op.
+        assert lookup(container, 0) is None
+        assert lookup(container, 1) == "b"
+        assert len(container) == 1
+        container.check_well_formed()
 
-    def test_items_cover_all_entries(self, container):
+    def test_items_cover_all_entries(self, name):
+        container = kv_map(name)
         expected = {}
-        for i, key in enumerate(KEYS):
-            container.insert(key, i)
-            expected[key] = i
-        assert dict(container.items()) == expected
-        assert set(container.keys()) == set(expected)
-        assert sorted(container.values()) == sorted(expected.values())
+        for i in KEYS:
+            container.insert(t(k=i, v=i * 10))
+            expected[i] = i * 10
+        assert {row["k"]: row["v"] for row in container.query()} == expected
+        assert {row["k"] for row in container.query(None, "k")} == set(expected)
 
-    def test_contains_and_bool(self, container):
+    def test_contains_and_bool(self, name):
+        container = kv_map(name)
         assert not container
-        container.insert(t(k=1), "x")
+        container.insert(t(k=1, v="x"))
         assert container
         assert t(k=1) in container
         assert t(k=2) not in container
         assert "not-a-tuple" not in container
 
-    def test_clear(self, container):
-        for key in KEYS:
-            container.insert(key, "x")
-        container.clear()
-        assert len(container) == 0 and container.is_empty()
+    def test_clear(self, name):
+        container = kv_map(name)
+        for i in KEYS:
+            container.insert(t(k=i, v="x"))
+        container.remove(None)
+        assert len(container) == 0 and not container and container.query() == []
+        container.check_well_formed()
 
-    def test_remove_value(self, container):
-        value = object()
-        container.insert(t(k=1), value)
-        assert container.remove_value(t(k=1), value) is True
+    def test_remove_value(self, name):
+        # Removing by the full row (key and value) unlinks the held entry.
+        container = kv_map(name)
+        container.insert(t(k=1, v="x"))
+        container.remove(t(k=1, v="x"))
         assert len(container) == 0
+        container.check_well_formed()
 
-    def test_non_integer_keys(self, container):
-        container.insert(t(name="alpha"), 1)
-        container.insert(t(name="beta"), 2)
-        assert container.lookup(t(name="alpha")) == 1
-        assert container.remove(t(name="beta")) is True
+    def test_non_integer_keys(self, name):
+        container = kv_map(name, spec=NAMED)
+        container.insert(t(name="alpha", v=1))
+        container.insert(t(name="beta", v=2))
+        assert container.query(t(name="alpha"), "v")[0]["v"] == 1
+        container.remove(t(name="beta"))
+        assert container.query(t(name="beta")) == []
+        container.check_well_formed()
 
-    def test_cost_model_positive_and_monotone(self, container):
-        cls = type(container)
+    def test_cost_model_positive_and_monotone(self, name):
+        cls = STRUCTURE_REGISTRY[name]
         small, large = cls.estimate_accesses(4), cls.estimate_accesses(4096)
         assert small >= 1.0
         assert large >= small
@@ -99,39 +141,40 @@ class TestContract:
 
 class TestStructureSpecifics:
     def test_avl_invariants_after_churn(self):
-        tree = AVLTreeMap()
-        for i in range(64):
-            tree.insert(t(k=i), i)
-            assert tree.check_invariants()
+        # The tree lowering keeps its ordered-scan snapshot consistent with
+        # the live keys through interleaved inserts and removes.
+        tree = compile_relation(KV, "k -> avl {v}")()
+
+        def in_order():
+            return [r["k"] for r in tree.query_range("k")]
+
+        keys = list(range(64))
+        random.Random(4).shuffle(keys)
+        for i in keys:
+            tree.insert(t(k=i, v=i))
+            assert in_order() == sorted(r["k"] for r in tree.query())
         for i in range(0, 64, 2):
             tree.remove(t(k=i))
-            assert tree.check_invariants()
-        assert len(tree) == 32
+            assert in_order() == sorted(r["k"] for r in tree.query())
+        assert in_order() == list(range(1, 64, 2))
+        tree.check_well_formed()
 
     def test_btree_iterates_in_key_order(self):
-        tree = AVLTreeMap()
+        tree = compile_relation(KV, "k -> btree {v}")()
         for i in [5, 3, 8, 1, 9, 2]:
-            tree.insert(t(k=i), i)
-        assert [k["k"] for k, _ in tree.items()] == [1, 2, 3, 5, 8, 9]
-
-    def test_htable_resizes(self):
-        table = get_structure("htable")()
-        for i in range(100):
-            table.insert(t(k=i), i)
-        assert table.bucket_count > table.INITIAL_BUCKETS
-        assert table.load_factor <= table.MAX_LOAD_FACTOR
+            tree.insert(t(k=i, v=i))
+        assert [row["k"] for row in tree.query_range("k")] == [1, 2, 3, 5, 8, 9]
 
     def test_counter_sees_linear_vs_constant_lookup(self):
-        dlist = get_structure("dlist")()
-        htable = get_structure("htable")()
+        dlist, htable = kv_map("dlist"), kv_map("htable")
         for i in range(64):
-            dlist.insert(t(k=i), i)
-            htable.insert(t(k=i), i)
+            dlist.insert(t(k=i, v=i))
+            htable.insert(t(k=i, v=i))
         with COUNTER as c:
-            dlist.lookup(t(k=63))
+            dlist.query(t(k=63))
             linear = c.accesses
         with COUNTER as c:
-            htable.lookup(t(k=63))
+            htable.query(t(k=63))
             constant = c.accesses
         assert linear > 8 * constant
 
@@ -191,21 +234,10 @@ class TestRegistry:
     def test_register_requires_name(self):
         from repro.structures import AssociativeContainer
 
-        class Nameless(AssociativeContainer):  # pragma: no cover - never instantiated
-            def insert(self, key, value):
-                raise NotImplementedError
-
-            def lookup(self, key):
-                raise NotImplementedError
-
-            def remove(self, key):
-                raise NotImplementedError
-
-            def items(self):
-                raise NotImplementedError
-
-            def __len__(self):
-                return 0
+        class Nameless(AssociativeContainer):
+            @classmethod
+            def estimate_accesses(cls, n):
+                return 1.0
 
         with pytest.raises(DecompositionError, match="must define a NAME"):
             register_structure(Nameless)
