@@ -89,22 +89,22 @@ class MigrationError(LiveRelationError):
     The old backing is left intact and keeps serving; the partially-built
     target is discarded.  Raised (and caught by the self-healing loop) for
     α-equivalence mismatches, failures while copying rows into the target,
-    and faults injected inside a dual-write window.
+    and faults injected at the verify or swap stage.
     """
 
     def __init__(self, message: str, stage: str = "migrate"):
         super().__init__(message)
-        #: Which migration stage failed: ``"copy"``, ``"dual-write"``,
-        #: ``"verify"`` or ``"swap"``.
+        #: Which migration stage failed: ``"copy"``, ``"verify"`` or
+        #: ``"swap"``.
         self.stage = stage
 
 
 class RetuneFailed(LiveRelationError):
     """A live re-tune attempt failed end to end.
 
-    Carries the failed *stage* (``"tune"``, ``"compile"``, ``"verify"``,
-    ``"dual-write"``, ...) so the circuit-breaker bookkeeping and
-    ``live_stats()`` can report where the attempt died.
+    Carries the failed *stage* (``"tune"``, ``"compile"``, or ``"circuit"``
+    when the circuit breaker refuses the attempt) so the circuit-breaker
+    bookkeeping and ``live_stats()`` can report where the attempt died.
     """
 
     def __init__(self, message: str, stage: str = "tune"):

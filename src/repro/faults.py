@@ -12,7 +12,7 @@ Design:
 
 * **Named sites.**  Every interleaving point worth failing at is registered
   once under a stable dotted name (``reference.insert``,
-  ``codegen.remove.unlink``, ``live.migrate.dual_write`` ...).
+  ``codegen.remove.unlink``, ``live.migrate.copy`` ...).
   Registration happens at import time — the reference oracle registers its
   mutators, the code generator the walk points it emits into every
   compiled mutator, the live facade its migration stages — so
@@ -69,9 +69,9 @@ class FaultInjector:
 
     Thread-compatible by design rather than heavily locked: arming and
     disarming take a lock, but the hot-path ``check`` reads plain
-    attributes — a background re-tune thread hitting a site concurrently
-    with the main thread at worst fires the fault on a neighbouring hit,
-    and the deterministic tests drive a single thread.
+    attributes — two user threads hitting a site concurrently at worst
+    fire the fault on a neighbouring hit, and the deterministic tests
+    drive a single thread.
     """
 
     __slots__ = (

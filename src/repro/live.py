@@ -17,10 +17,10 @@ layout, compile, done.  This module closes the loop *online*:
   compiled), samples every operation, re-runs the autotuner
   when the mix drifts, and **migrates between layouts via α**: both the old
   and the new layout provably represent the same relation, so migration is
-  enumerate-the-old + reinsert-into-the-new (optionally spread over a
-  dual-write window for large instances), checked for α-equivalence, then
+  enumerate-the-old + reinsert-into-the-new, checked for α-equivalence, then
   an atomic swap of the backing object — every reference through the facade
-  sees the new layout;
+  sees the new layout.  A re-tune is one synchronous pass on the caller's
+  thread: snapshot → tune → guard → compile → copy → α-verify → swap;
 * :func:`open_relation` (re-exported as ``repro.open``) — the one factory
   behind every tier: ``repro.open(spec, layout, tier=..., tune=...,
   live=...)`` replaces reaching for ``ReferenceRelation``,
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
-import time
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple as PyTuple, Union
 
@@ -83,7 +81,6 @@ for _site in (
     "live.retune.compile",
     "live.retune.verify",
     "live.migrate.copy",
-    "live.migrate.dual_write",
     "live.swap",
 ):
     register_site(_site)
@@ -103,12 +100,23 @@ Operation = PyTuple
 #: a clear drift.
 _GUARD_PAYBACK_WINDOWS = 16
 
+#: Consecutive re-tune failures after which the circuit breaker opens: no
+#: further re-tune runs until :meth:`LiveRelation.reset_circuit`.
+_MAX_FAILURES = 3
+
+#: Exponential backoff base: after the *k*-th consecutive failure the next
+#: automatic re-tune waits at least ``min_ops * _BACKOFF_FACTOR ** k`` ops.
+_BACKOFF_FACTOR = 2
+
 
 def _op_key(op: Operation) -> PyTuple:
-    """The mix-histogram key of one operation: kind + bound pattern columns."""
+    """The mix-histogram key of one operation: kind + bound pattern columns
+    (a range scan's key is its ordered column)."""
     kind = op[0]
     if kind == "insert":
         return ("insert",)
+    if kind == "range":
+        return ("range", op[1])
     return (kind, op[1].columns if isinstance(op[1], Tuple) else frozenset())
 
 
@@ -261,85 +269,30 @@ class RetunePolicy:
             whose drift is ``inf`` by construction).
         drift_threshold: total-variation distance on the operation mix at or
             above which a re-tune triggers.
-        dual_write_threshold: instances at least this large migrate through
-            an incremental dual-write window instead of one synchronous
-            enumerate + reinsert pass.
-        migrate_batch: rows copied per subsequent operation while a
-            dual-write window is open.
-        background: run the autotuner search on a daemon thread instead of
-            blocking the triggering operation; the winner is compiled and
-            migrated on the caller's thread once the search completes (the
-            swap itself never happens off-thread).
-        retune_timeout: watchdog limit, in seconds, on a background tune.
-            A search still running past this deadline is abandoned — its
-            eventual result is discarded — and counted as a failure.
-        max_failures: consecutive re-tune failures after which the circuit
-            breaker opens: no further re-tunes run until
-            :meth:`LiveRelation.reset_circuit`.
-        backoff_factor: exponential backoff base — after the *k*-th
-            consecutive failure the next automatic re-tune waits at least
-            ``min_ops * backoff_factor ** k`` operations.
-        quarantine: remember the layouts whose compile/migrate/verify
-            failed and never pick them as a re-tune winner again (the best
-            non-quarantined candidate wins instead).
-        guard: apply the migration cost/benefit guard — when the estimated
-            cost of migrating every live row to the winning layout exceeds
-            the savings the winner is projected to earn over the next
-            re-tune window, the swap is skipped and the current layout
-            keeps serving.  The decision (either way) is recorded on the
-            report's ``guard`` field and surfaced by
-            :meth:`LiveRelation.live_stats`.
+
+    How the loop reacts to failure is fixed rather than configured: a
+    layout whose compile/copy/verify failed is quarantined, the *k*-th
+    consecutive failure defers the next automatic re-tune to
+    ``min_ops * 2**k`` operations, three consecutive failures open the
+    circuit breaker, and every swap must pass the migration cost/benefit
+    guard (see :meth:`LiveRelation.retune`).
     """
 
-    __slots__ = (
-        "auto",
-        "min_ops",
-        "drift_threshold",
-        "dual_write_threshold",
-        "migrate_batch",
-        "background",
-        "retune_timeout",
-        "max_failures",
-        "backoff_factor",
-        "quarantine",
-        "guard",
-    )
+    __slots__ = ("auto", "min_ops", "drift_threshold")
 
     def __init__(
         self,
         auto: bool = True,
         min_ops: int = 512,
         drift_threshold: float = 0.3,
-        dual_write_threshold: int = 100_000,
-        migrate_batch: int = 64,
-        background: bool = False,
-        retune_timeout: float = 30.0,
-        max_failures: int = 3,
-        backoff_factor: float = 2.0,
-        quarantine: bool = True,
-        guard: bool = True,
     ):
-        if min_ops < 1 or migrate_batch < 1:
-            raise LiveRelationError("min_ops and migrate_batch must be >= 1")
+        if min_ops < 1:
+            raise LiveRelationError("min_ops must be >= 1")
         if not 0.0 < drift_threshold:
             raise LiveRelationError("drift_threshold must be positive")
-        if not retune_timeout > 0.0:
-            raise LiveRelationError("retune_timeout must be positive")
-        if max_failures < 1:
-            raise LiveRelationError("max_failures must be >= 1")
-        if backoff_factor < 1.0:
-            raise LiveRelationError("backoff_factor must be >= 1.0")
         self.auto = auto
         self.min_ops = min_ops
         self.drift_threshold = drift_threshold
-        self.dual_write_threshold = dual_write_threshold
-        self.migrate_batch = migrate_batch
-        self.background = background
-        self.retune_timeout = retune_timeout
-        self.max_failures = max_failures
-        self.backoff_factor = backoff_factor
-        self.quarantine = quarantine
-        self.guard = guard
 
     @classmethod
     def coerce(cls, value: Union["RetunePolicy", Mapping, None]) -> "RetunePolicy":
@@ -348,6 +301,12 @@ class RetunePolicy:
         if isinstance(value, cls):
             return value
         if isinstance(value, Mapping):
+            unknown = [repr(key) for key in value if key not in cls.__slots__]
+            if unknown:
+                raise LiveRelationError(
+                    f"unknown tune policy field(s) {', '.join(unknown)}; "
+                    f"valid fields: {', '.join(cls.__slots__)}"
+                )
             return cls(**value)
         raise LiveRelationError(
             f"tune policy must be a RetunePolicy or a mapping of its fields; got {value!r}"
@@ -371,11 +330,9 @@ class RetuneReport:
         "new_layout",
         "swapped",
         "migrated",
-        "dual_write",
         "generation",
         "tuning",
         "error",
-        "pending",
         "guard",
     )
 
@@ -393,13 +350,10 @@ class RetuneReport:
         self.new_layout: Optional[str] = None
         self.swapped = False
         self.migrated = 0
-        self.dual_write = False
         self.generation: Optional[int] = None
         self.tuning: Optional[TuningResult] = None
         #: Failure description when the attempt died (``None`` on success).
         self.error: Optional[str] = None
-        #: ``True`` while a background tune for this report is in flight.
-        self.pending = False
         #: Migration cost/benefit decision (``None`` when no swap was under
         #: consideration): a dict with the estimated ``migration_cost``,
         #: ``projected_savings``, ``horizon`` and whether the swap was
@@ -409,11 +363,8 @@ class RetuneReport:
     def describe(self) -> str:
         if self.error is not None:
             return f"retune @op {self.op_index} ({self.reason}): failed — {self.error}"
-        if self.pending:
-            return f"retune @op {self.op_index} ({self.reason}): tuning in background"
         outcome = (
-            f"swapped to {self.new_layout!r} ({self.migrated} row(s) migrated"
-            + (", dual-write window)" if self.dual_write else ")")
+            f"swapped to {self.new_layout!r} ({self.migrated} row(s) migrated)"
             if self.swapped
             else "kept the current layout"
         )
@@ -423,29 +374,11 @@ class RetuneReport:
         return f"RetuneReport(op={self.op_index}, swapped={self.swapped})"
 
 
-class _Migration:
-    """State of an open dual-write window (incremental α-migration)."""
-
-    __slots__ = ("target", "pending", "batch", "report")
-
-    def __init__(
-        self,
-        target: RelationInterface,
-        pending: Deque[Tuple],
-        batch: int,
-        report: RetuneReport,
-    ):
-        self.target = target
-        self.pending = pending
-        self.batch = batch
-        self.report = report
-
-
 class LiveRelation(RelationInterface):
     """A relation that outlives — and re-chooses — its own representation.
 
     The facade owns a *backing* :class:`RelationInterface` (any tier),
-    forwards the five relational operations to it, and samples each one
+    forwards the relational operations to it, and samples each one
     through a :class:`SamplingTraceRecorder`.  When the sampled operation
     mix drifts past the :class:`RetunePolicy`'s threshold (or on an
     explicit :meth:`retune`), the autotuner is re-run on a trace
@@ -453,10 +386,16 @@ class LiveRelation(RelationInterface):
     winner's shape differs from the current layout, the instance is
     **migrated via α** — enumerated from the old backing and reinserted
     into a freshly compiled class for the new layout, checked for
-    α-equivalence — and the backing is swapped atomically.  Holders of the
-    facade never observe an intermediate state: reads are served by the old
-    backing until the swap, and during a dual-write window every mutation
-    is applied to both backings.
+    α-equivalence — and the backing is swapped atomically.  The whole
+    re-tune runs on the thread of the operation that triggered it (or of
+    the explicit caller), so holders of the facade never observe an
+    intermediate state: reads are served by the old backing until the swap.
+
+    Between re-tunes the loop keeps three pieces of state: the operation
+    count since the last tune, the consecutive-failure count (from which
+    the backoff and the circuit breaker follow) and the quarantined
+    layouts.  Everything else ``live_stats()`` reports is derived from the
+    :attr:`retunes` history.
 
     The inspection dunders (``len``/``iter``/``in``) forward to the backing
     without being sampled, so inspection does not perturb the workload the
@@ -485,19 +424,12 @@ class LiveRelation(RelationInterface):
         self.retunes: List[RetuneReport] = []
         self._backing = backing
         self._ops_since_tune = 0
-        self._migration: Optional[_Migration] = None
         # -- self-healing bookkeeping (see "Failure semantics" in README) --
-        self._failures = 0
         self._consecutive_failures = 0
         #: canonical shape -> layout description of every layout whose
         #: compile / migrate / verify failed; quarantined shapes are never
-        #: picked as a re-tune winner again (policy.quarantine).
+        #: picked as a re-tune winner again.
         self._quarantined: Dict[PyTuple, str] = {}
-        self._backoff_ops = 0
-        self._last_error: Optional[str] = None
-        #: In-flight background tune: {"state", "started", "thread",
-        #: "report", "current", "dual_write", "tuning", "error"}.
-        self._tune_box: Optional[Dict[str, object]] = None
 
     # -- backing introspection ---------------------------------------------------
 
@@ -529,17 +461,15 @@ class LiveRelation(RelationInterface):
             "retunes": len(self.retunes),
             "swaps": sum(1 for r in self.retunes if r.swapped),
             "ops_since_tune": self._ops_since_tune,
-            "migration_open": self._migration is not None,
             "backing": type(self._backing).__name__,
             "layout": self.backing_layout(),
             "sampler": self.sampler.stats(),
-            "failures": self._failures,
+            "failures": sum(1 for r in self.retunes if r.error is not None),
             "consecutive_failures": self._consecutive_failures,
             "circuit_open": self.circuit_open,
             "quarantined": sorted(self._quarantined.values()),
             "backoff_ops": self._backoff_ops,
             "last_error": self._last_error,
-            "retune_pending": self._tune_box is not None,
             "guard_skips": sum(
                 1 for r in self.retunes if r.guard is not None and r.guard["skipped"]
             ),
@@ -551,91 +481,50 @@ class LiveRelation(RelationInterface):
 
     @property
     def circuit_open(self) -> bool:
-        """``True`` once ``max_failures`` consecutive re-tunes failed.
+        """``True`` once three consecutive re-tunes failed.
 
         While open, no re-tune runs — automatic or explicit — until
         :meth:`reset_circuit`; the relation keeps serving on its current
         backing indefinitely (degraded layout beats a crash loop).
         """
-        return self._consecutive_failures >= self.policy.max_failures
+        return self._consecutive_failures >= _MAX_FAILURES
 
-    def reset_circuit(self, clear_quarantine: bool = False) -> None:
+    @property
+    def _backoff_ops(self) -> int:
+        """Operations the next automatic re-tune waits for (0: no backoff)."""
+        failures = self._consecutive_failures
+        return self.policy.min_ops * _BACKOFF_FACTOR**failures if failures else 0
+
+    @property
+    def _last_error(self) -> Optional[str]:
+        """The error of the current failure streak's latest attempt."""
+        return self.retunes[-1].error if self._consecutive_failures else None
+
+    def reset_circuit(self) -> None:
         """Re-enable re-tuning after the circuit breaker opened.
 
-        Clears the consecutive-failure count, the backoff and the recorded
-        last error; ``clear_quarantine=True`` also forgets the quarantined
-        layouts (e.g. after fixing whatever made them fail).
+        Clears the consecutive-failure count, and with it the backoff and
+        the reported last error.  Quarantined layouts stay quarantined.
         """
         self._consecutive_failures = 0
-        self._backoff_ops = 0
-        self._last_error = None
-        if clear_quarantine:
-            self._quarantined.clear()
 
-    # -- the five operations (forward, then sample) ------------------------------
+    # -- the sampled operations (forward, then sample) ---------------------------
 
     def insert(self, tup: Union[Tuple, Mapping]) -> None:
         tup = coerce_tuple(tup)
         self._backing.insert(tup)
-        migration = self._migration
-        if migration is not None:
-            self._apply_dual_write(migration, lambda: migration.target.insert(tup))
         self._observe(("insert", tup))
 
     def remove(self, pattern: Union[Tuple, Mapping, None] = None) -> None:
         pattern = coerce_tuple(pattern)
         self._backing.remove(pattern)
-        migration = self._migration
-        if migration is not None:
-            # Rows already copied are removed here; still-pending rows are
-            # revalidated against the old backing at copy time and skipped.
-            self._apply_dual_write(migration, lambda: migration.target.remove(pattern))
         self._observe(("remove", pattern))
 
     def update(self, pattern: Union[Tuple, Mapping], changes: Union[Tuple, Mapping]) -> None:
         pattern = coerce_tuple(pattern)
         changes = coerce_tuple(changes)
-        migration = self._migration
-        if migration is not None:
-            # Capture the victims *before* mutating: a pending (not yet
-            # copied) victim would otherwise be skipped at copy time (the
-            # old backing no longer holds its pre-update form) while its
-            # post-update form was never enqueued.  Re-enqueueing the
-            # merged rows closes that window; copy-time revalidation makes
-            # the extra enqueue idempotent.
-            victims = self._backing.query(pattern, None)
         self._backing.update(pattern, changes)
-        if migration is not None:
-
-            def _mirror() -> None:
-                migration.target.update(pattern, changes)
-                for victim in victims:
-                    migration.pending.append(victim.merge(changes))
-
-            self._apply_dual_write(migration, _mirror)
         self._observe(("update", pattern, changes))
-
-    def _apply_dual_write(self, migration: "_Migration", action) -> None:
-        """Mirror one mutation into the dual-write target.
-
-        The primary backing has already applied the mutation, so a failing
-        target write **aborts the migration window** (the half-built target
-        is discarded, the failed layout quarantined) and returns without
-        raising: the caller's operation landed in exactly one consistent
-        backing — the old one, which keeps serving.
-        """
-        try:
-            if FAULTS.active:
-                FAULTS.check("live.migrate.dual_write")
-            action()
-        except ReproError as exc:
-            failure = MigrationError(
-                f"dual-write into migration target "
-                f"{migration.report.new_layout!r} failed: {exc}",
-                stage="dual-write",
-            )
-            failure.__cause__ = exc
-            self._abort_migration(failure)
 
     def query(
         self,
@@ -649,25 +538,24 @@ class LiveRelation(RelationInterface):
         self._observe(("query", pattern, output))
         return results
 
+    def query_range(self, column: str, lo=None, hi=None) -> List[Tuple]:
+        """Forward to the backing's range scan (a bounded descent when its
+        layout keeps *column* ordered) and sample it as a ``range`` op."""
+        results = self._backing.query_range(column, lo, hi)
+        self._observe(("range", column, lo, hi))
+        return results
+
     def _observe(self, op: Operation) -> None:
         """Sample one completed operation, then advance the control loop.
 
         Never raises on behalf of the control loop: the caller's operation
-        already succeeded on the primary backing, so a failed migration
-        pump or background-tune completion is recorded (and the attempt
-        aborted) rather than surfaced through an unrelated ``insert``.
+        already succeeded, so :meth:`maybe_retune` records a failed
+        automatic re-tune rather than surfacing it through an unrelated
+        ``insert``.
         """
         self._ops_since_tune += 1
         self.sampler.observe(op)
-        if self._migration is not None:
-            try:
-                self._pump_migration()
-            except MigrationError:
-                # Aborted and recorded; the old backing keeps serving.
-                pass
-        elif self._tune_box is not None:
-            self._poll_background_tune()
-        elif self.policy.auto:
+        if self.policy.auto:
             self.maybe_retune()
 
     # -- the re-tune loop --------------------------------------------------------
@@ -676,18 +564,17 @@ class LiveRelation(RelationInterface):
         """Re-tune if the policy says so; the cheap steady-state check.
 
         Returns the report when a re-tune ran (whether or not it swapped),
-        ``None`` otherwise.  Never fires while a dual-write window or a
-        background tune is open, while the circuit breaker is open, or
-        before the post-failure backoff has elapsed.  A re-tune failure on
-        this (automatic) path is recorded in the report and ``live_stats()``
-        but not raised — the operation that triggered the check already
-        succeeded, and the old backing keeps serving.
+        ``None`` otherwise.  Never fires while the circuit breaker is open
+        or before the post-failure backoff has elapsed.  A re-tune failure
+        on this (automatic) path is recorded in the report and
+        ``live_stats()`` but not raised — the operation that triggered the
+        check already succeeded, and the old backing keeps serving.
         """
-        if self._migration is not None or self._tune_box is not None:
+        failures = self._consecutive_failures
+        if failures >= _MAX_FAILURES:
             return None
-        if self.circuit_open:
-            return None
-        if self._ops_since_tune < max(self.policy.min_ops, self._backoff_ops):
+        # min_ops with no failure streak, the backoff after one.
+        if self._ops_since_tune < self.policy.min_ops * _BACKOFF_FACTOR**failures:
             return None
         drift = self.sampler.drift()
         if drift < self.policy.drift_threshold:
@@ -704,7 +591,7 @@ class LiveRelation(RelationInterface):
             # circuit breaker); self-heal instead of failing the caller.
             return self.retunes[-1] if self.retunes else None
 
-    def _retune_trace(self) -> Trace:
+    def _retune_trace(self, contents: List[Tuple]) -> Trace:
         """Synthesize the tuning workload: current contents + sampled tail.
 
         Always built in ``enforce_fds=False`` (eviction) mode: the sampled
@@ -715,7 +602,6 @@ class LiveRelation(RelationInterface):
         measures; the swapped-in backing still runs in the live relation's
         own FD mode.
         """
-        contents = sorted(self._backing.to_relation().tuples, key=Tuple.sort_key)
         operations: List[Operation] = [("insert", tup) for tup in contents]
         operations.extend(self.sampler.sampled_operations())
         return Trace(
@@ -725,22 +611,20 @@ class LiveRelation(RelationInterface):
             enforce_fds=False,
         )
 
-    def retune(
-        self,
-        reason: str = "explicit",
-        drift: Optional[float] = None,
-        dual_write: Optional[bool] = None,
-    ) -> RetuneReport:
+    def retune(self, reason: str = "explicit", drift: Optional[float] = None) -> RetuneReport:
         """Re-run the autotuner now; hot-swap the backing if a better layout wins.
+
+        One synchronous pass on the caller's thread: snapshot the contents,
+        tune on them plus the sampled tail, apply the payback guard, compile
+        the winner, copy the snapshot into it, α-verify, swap.  No operation
+        can run in between, so the one sorted snapshot is the trace's
+        prefix, the copy source and the verify's expected relation.
 
         The current layout is force-included in the search, so "no better
         layout" resolves to a no-swap report rather than a migration to an
-        equivalent shape.  ``dual_write`` forces (or suppresses) the
-        incremental migration window; by default instances of at least
-        ``policy.dual_write_threshold`` rows take it.
-
-        Deterministic by construction for seeded workloads: the sampler's
-        RNG is seeded and the autotuner's replay is exact.
+        equivalent shape.  Deterministic by construction for seeded
+        workloads: the sampler's RNG is seeded and the autotuner's replay
+        is exact.
 
         Failure semantics: any stage can fail (including by an injected
         fault) and the relation survives — the old backing is untouched and
@@ -749,43 +633,66 @@ class LiveRelation(RelationInterface):
         (:class:`RetuneFailed` or :class:`MigrationError`) propagates to
         *this explicit caller*.  Automatic re-tunes (:meth:`maybe_retune`)
         swallow it.
-
-        With ``policy.background=True`` the autotuner search runs on a
-        daemon thread and this returns immediately with a ``pending``
-        report; the compile/migrate/swap happens on the thread of a later
-        operation (or :meth:`finish_retune`) once the search completes.
         """
-        if self._migration is not None:
-            raise LiveRelationError(
-                "cannot re-tune while a dual-write migration window is open "
-                "(call finish_migration() first)"
-            )
-        if self._tune_box is not None:
-            raise LiveRelationError(
-                "cannot re-tune while a background tune is in flight "
-                "(call finish_retune() first)"
-            )
         if self.circuit_open:
             raise RetuneFailed(
                 f"circuit breaker open after {self._consecutive_failures} "
-                f"consecutive re-tune failures "
-                f"(max_failures={self.policy.max_failures}); last error: "
+                f"consecutive re-tune failures; last error: "
                 f"{self._last_error}; call reset_circuit() to re-enable",
                 stage="circuit",
             )
-        report = RetuneReport(
-            self.sampler.seen, reason, drift, self.backing_layout()
-        )
+        report = RetuneReport(self.sampler.seen, reason, drift, self.backing_layout())
         self.retunes.append(report)
         current = self.backing_decomposition()
-        if self.policy.background:
-            return self._start_background_tune(report, current, dual_write)
-        tuning = self._run_tune(report, current)
-        return self._finish_retune(report, current, tuning, dual_write)
+        snapshot = self._backing.to_relation()
+        contents = sorted(snapshot.tuples, key=Tuple.sort_key)
+        tuning = self._run_tune(report, current, contents)
+        report.tuning = tuning
+        # The tune consumed this window: future drift is measured against it.
+        self.sampler.rebase()
+        horizon = self._ops_since_tune
+        self._ops_since_tune = 0
 
-    def _run_tune(self, report: RetuneReport, current: Optional[Decomposition]) -> TuningResult:
+        current_shape = canonical_shape(current) if current is not None else None
+        winner = self._pick_winner(tuning, current_shape)
+        if winner is not None and winner is not tuning.winner:
+            # Quarantine displaced the access-count winner; compile_winner()
+            # compiles `.winner`, so promote the chosen candidate.
+            tuning.winner = winner
+        shape = canonical_shape(winner.decomposition) if winner is not None else None
+        if (
+            # Everything the search surfaced has failed before.
+            winner is None
+            or shape == current_shape
+            # The projected savings do not pay for moving every live row.
+            # Not a failure: the search succeeded, the swap was not worth it.
+            or not self._guard_allows(report, current_shape, tuning, winner, horizon)
+        ):
+            report.new_layout = report.old_layout
+            self._consecutive_failures = 0
+            return report
+
+        report.new_layout = winner.decomposition.describe()
+        try:
+            if FAULTS.active:
+                FAULTS.check("live.retune.compile")
+            new_backing = tuning.compile_winner()(enforce_fds=self.enforce_fds)
+        except ReproError as exc:
+            raise self._failed(
+                report,
+                RetuneFailed(
+                    f"compiling winner {report.new_layout!r} failed: {exc}", stage="compile"
+                ),
+                shape,
+            ) from exc
+        self._migrate(new_backing, contents, snapshot, report, shape)
+        return report
+
+    def _run_tune(
+        self, report: RetuneReport, current: Optional[Decomposition], contents: List[Tuple]
+    ) -> TuningResult:
         """The search stage: synthesize the trace and run the autotuner."""
-        trace = self._retune_trace()
+        trace = self._retune_trace(contents)
         include = [current] if current is not None else []
         try:
             if FAULTS.active:
@@ -794,13 +701,12 @@ class LiveRelation(RelationInterface):
             # _retune_trace); the new backing itself runs in self.enforce_fds.
             return autotune(self.spec, trace, include=include, enforce_fds=False)
         except ReproError as exc:
-            failure = RetuneFailed(f"autotune search failed: {exc}", stage="tune")
-            failure.__cause__ = exc
-            self._record_failure(report, failure)
-            raise failure from exc
+            raise self._failed(
+                report, RetuneFailed(f"autotune search failed: {exc}", stage="tune")
+            ) from exc
 
     def _pick_winner(
-        self, tuning: TuningResult, current: Optional[Decomposition]
+        self, tuning: TuningResult, current_shape: Optional[PyTuple]
     ) -> Optional[ScoredCandidate]:
         """The best replayed candidate whose shape is not quarantined.
 
@@ -809,93 +715,16 @@ class LiveRelation(RelationInterface):
         "keep".  ``None`` only when *everything* replayed is quarantined
         and the current shape is not among the candidates.
         """
-        current_shape = canonical_shape(current) if current is not None else None
-        quarantine = self.policy.quarantine
         for candidate in tuning.replayed:
             shape = canonical_shape(candidate.decomposition)
-            if shape == current_shape:
+            if shape == current_shape or shape not in self._quarantined:
                 return candidate
-            if quarantine and shape in self._quarantined:
-                continue
-            return candidate
         return None
-
-    def _finish_retune(
-        self,
-        report: RetuneReport,
-        current: Optional[Decomposition],
-        tuning: TuningResult,
-        dual_write: Optional[bool] = None,
-    ) -> RetuneReport:
-        """Compile + migrate stage, shared by sync and background re-tunes."""
-        report.tuning = tuning
-        # The tune consumed this window: future drift is measured against it.
-        self.sampler.rebase()
-        horizon = self._ops_since_tune
-        self._ops_since_tune = 0
-
-        winner = self._pick_winner(tuning, current)
-        if winner is None:
-            # Everything the search surfaced has failed before: keep serving.
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-        if winner is not tuning.winner:
-            # Quarantine displaced the access-count winner; compile_winner()
-            # compiles `.winner`, so promote the chosen candidate.
-            tuning.winner = winner
-        report.new_layout = winner.decomposition.describe()
-        if current is not None and canonical_shape(winner.decomposition) == canonical_shape(current):
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-
-        if self.policy.guard and not self._guard_allows(
-            report, current, tuning, winner, horizon
-        ):
-            # The projected savings do not pay for moving every live row:
-            # keep serving on the current layout.  Not a failure — the
-            # search itself succeeded, the swap was just not worth it.
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-
-        try:
-            if FAULTS.active:
-                FAULTS.check("live.retune.compile")
-            new_cls = tuning.compile_winner()
-            new_backing = new_cls(enforce_fds=self.enforce_fds)
-        except ReproError as exc:
-            failure = RetuneFailed(
-                f"compiling winner {report.new_layout!r} failed: {exc}",
-                stage="compile",
-            )
-            failure.__cause__ = exc
-            self._record_failure(report, failure, canonical_shape(winner.decomposition))
-            raise failure from exc
-
-        if dual_write is None:
-            dual_write = len(self._backing) >= self.policy.dual_write_threshold
-        if dual_write:
-            pending: Deque[Tuple] = deque(
-                sorted(self._backing.to_relation().tuples, key=Tuple.sort_key)
-            )
-            report.dual_write = True
-            self._migration = _Migration(
-                new_backing, pending, self.policy.migrate_batch, report
-            )
-            self._pump_migration()
-        else:
-            self._migrate_sync(new_backing, report)
-        return report
 
     def _guard_allows(
         self,
         report: RetuneReport,
-        current: Optional[Decomposition],
+        current_shape: Optional[PyTuple],
         tuning: TuningResult,
         winner: "ScoredCandidate",
         horizon: int,
@@ -908,11 +737,10 @@ class LiveRelation(RelationInterface):
         ops observed since the last tune (the best available guess at the
         next window).  Migration cost is proxied as one counted access per
         live row per distinct edge of the winning layout — what the
-        enumerate + reinsert pass (or the dual-write pump) must pay.  When
-        the current layout was not replayed (or has no exact count) the
-        guard abstains and the swap proceeds.
+        enumerate + reinsert pass must pay.  When the current layout was
+        not replayed (or has no exact count) the guard abstains and the
+        swap proceeds.
         """
-        current_shape = canonical_shape(current) if current is not None else None
         cur_accesses: Optional[int] = None
         for candidate in tuning.replayed:
             if canonical_shape(candidate.decomposition) == current_shape:
@@ -944,217 +772,42 @@ class LiveRelation(RelationInterface):
         }
         return not skipped
 
-    # -- background re-tune (search off-thread, swap on-thread) ------------------
-
-    def _start_background_tune(
-        self,
-        report: RetuneReport,
-        current: Optional[Decomposition],
-        dual_write: Optional[bool],
-    ) -> RetuneReport:
-        """Launch the autotuner search on a daemon thread.
-
-        The trace is snapshotted on the caller's thread (so the search sees
-        a consistent state); only the pure search runs concurrently.  The
-        result is collected — and the migration run — on the thread of a
-        later operation via :meth:`_poll_background_tune`, or explicitly by
-        :meth:`finish_retune`; a search that outlives
-        ``policy.retune_timeout`` is abandoned by the watchdog.
-        """
-        trace = self._retune_trace()
-        include = [current] if current is not None else []
-        box: Dict[str, object] = {
-            "state": "running",
-            "started": time.monotonic(),
-            "report": report,
-            "current": current,
-            "dual_write": dual_write,
-            "tuning": None,
-            "error": None,
-        }
-
-        def worker() -> None:
-            try:
-                if FAULTS.active:
-                    FAULTS.check("live.retune.tune")
-                box["tuning"] = autotune(
-                    self.spec, trace, include=include, enforce_fds=False
-                )
-                box["state"] = "done"
-            except BaseException as exc:  # surfaced on the caller's thread
-                box["error"] = exc
-                box["state"] = "failed"
-
-        thread = threading.Thread(
-            target=worker, name=f"{self.name}-retune-gen{self.generation}", daemon=True
-        )
-        box["thread"] = thread
-        self._tune_box = box
-        report.pending = True
-        thread.start()
-        return report
-
-    def _poll_background_tune(self) -> Optional[RetuneReport]:
-        """Collect a finished (or overdue) background tune; apply its result."""
-        box = self._tune_box
-        if box is None:
-            return None
-        report = box["report"]
-        state = box["state"]
-        if state == "running":
-            if time.monotonic() - box["started"] <= self.policy.retune_timeout:
-                return None
-            # Watchdog: abandon the straggler.  The daemon thread keeps
-            # running but its box is unlinked, so its eventual result (or
-            # error) is discarded without touching the relation.
-            self._tune_box = None
-            report.pending = False
-            failure = RetuneFailed(
-                f"background tune exceeded retune_timeout="
-                f"{self.policy.retune_timeout}s; abandoned by the watchdog",
-                stage="tune",
-            )
-            self._record_failure(report, failure)
-            return report
-        self._tune_box = None
-        report.pending = False
-        if state == "failed":
-            exc = box["error"]
-            failure = RetuneFailed(f"background autotune search failed: {exc}", stage="tune")
-            failure.__cause__ = exc
-            self._record_failure(report, failure)
-            return report
-        try:
-            return self._finish_retune(
-                report, box["current"], box["tuning"], box["dual_write"]
-            )
-        except LiveRelationError:
-            # Recorded; the triggering operation already succeeded on the
-            # old backing, which keeps serving.
-            return report
-
-    def finish_retune(self, timeout: Optional[float] = None) -> Optional[RetuneReport]:
-        """Wait for an in-flight background tune and apply its result.
-
-        Joins the search thread for up to *timeout* seconds (default: the
-        policy's ``retune_timeout``), then collects whatever state the tune
-        reached — including the watchdog's abandon when it is overdue.
-        Returns the report, or ``None`` when no background tune is open.
-        """
-        box = self._tune_box
-        if box is None:
-            return None
-        box["thread"].join(timeout if timeout is not None else self.policy.retune_timeout)
-        return self._poll_background_tune()
-
     # -- migration ---------------------------------------------------------------
 
-    def _migrate_sync(self, new_backing: RelationInterface, report: RetuneReport) -> None:
-        """One-pass α-migration: enumerate the old backing, reinsert, verify.
+    def _migrate(
+        self,
+        new_backing: RelationInterface,
+        contents: List[Tuple],
+        expected: Relation,
+        report: RetuneReport,
+        shape: PyTuple,
+    ) -> None:
+        """α-migration: reinsert *contents*, verify against *expected*, swap.
 
-        The target is private until :meth:`_verify_and_swap` commits, so a
-        mid-copy failure simply discards it — nothing to roll back.
+        The target is private until the final assignment, so any failure
+        simply discards it: the old backing is untouched and keeps serving,
+        and the failed layout (*shape*) is quarantined.  The swap itself is
+        a single attribute write — atomic under the GIL — with nothing left
+        to raise after it.
         """
-        snapshot = self._backing.to_relation()
         try:
-            for tup in sorted(snapshot.tuples, key=Tuple.sort_key):
+            for tup in contents:
                 if FAULTS.active:
                     FAULTS.check("live.migrate.copy")
                 new_backing.insert(tup)
                 report.migrated += 1
         except ReproError as exc:
-            failure = MigrationError(
-                f"copying rows into {report.new_layout!r} failed: {exc}",
-                stage="copy",
-            )
-            failure.__cause__ = exc
-            self._record_failure(report, failure, self._shape_of(new_backing))
-            raise failure from exc
-        self._verify_and_swap(new_backing, snapshot, report)
-
-    def _pump_migration(self) -> None:
-        """Copy the next batch of a dual-write window; swap when drained.
-
-        Each pending row is revalidated against the old backing — a row
-        removed or updated since the window opened is skipped (its current
-        form reached the target through dual-writing or re-enqueueing).
-
-        A failing copy aborts the window (target discarded, layout
-        quarantined) and raises :class:`MigrationError`; ``_observe``
-        catches it so user operations never fail on the control loop's
-        behalf.
-        """
-        migration = self._migration
-        assert migration is not None
-        pending = migration.pending
-        try:
-            for _ in range(min(migration.batch, len(pending))):
-                if FAULTS.active:
-                    FAULTS.check("live.migrate.copy")
-                row = pending.popleft()
-                if self._backing.contains(row):
-                    migration.target.insert(row)
-                    migration.report.migrated += 1
-        except ReproError as exc:
-            failure = MigrationError(
-                f"copying rows into {migration.report.new_layout!r} failed: {exc}",
-                stage="copy",
-            )
-            failure.__cause__ = exc
-            self._abort_migration(failure)
-            raise failure from exc
-        if not pending:
-            self._migration = None
-            self._verify_and_swap(
-                migration.target, self._backing.to_relation(), migration.report
-            )
-
-    def _abort_migration(self, failure: MigrationError) -> None:
-        """Tear down an open dual-write window after a failure.
-
-        Atomic from the caller's perspective: the target is discarded in
-        one assignment, the old backing was never touched, and the failed
-        target layout is quarantined.
-        """
-        migration = self._migration
-        self._migration = None
-        if migration is None:
-            return
-        self._record_failure(
-            migration.report, failure, self._shape_of(migration.target)
-        )
-
-    def finish_migration(self) -> None:
-        """Drain any open dual-write window synchronously.
-
-        If the window aborts mid-drain the loop simply ends — the abort
-        clears the window — with the failure recorded in ``live_stats()``.
-        """
-        while self._migration is not None:
-            try:
-                self._pump_migration()
-            except MigrationError:
-                break  # aborted and recorded; old backing keeps serving
-
-    def _verify_and_swap(
-        self,
-        new_backing: RelationInterface,
-        expected: Relation,
-        report: RetuneReport,
-    ) -> None:
-        """The α-equivalence gate, then the atomic swap.
-
-        Any failure up to the final assignment aborts the migration: the
-        old backing is untouched and keeps serving, and the failed layout
-        is quarantined.  The swap itself is a single attribute write —
-        atomic under the GIL — with nothing left to raise after it.
-        """
+            raise self._failed(
+                report,
+                MigrationError(
+                    f"copying rows into {report.new_layout!r} failed: {exc}", stage="copy"
+                ),
+                shape,
+            ) from exc
         try:
             if FAULTS.active:
                 FAULTS.check("live.retune.verify")
-            check = getattr(new_backing, "check_well_formed", None)
-            if check is not None:
-                check()
+            new_backing.check_well_formed()
             migrated = new_backing.to_relation()
             if migrated != expected:
                 raise MigrationError(
@@ -1165,56 +818,43 @@ class LiveRelation(RelationInterface):
                 )
             if FAULTS.active:
                 FAULTS.check("live.swap")
+        except MigrationError as exc:
+            self._failed(report, exc, shape)
+            raise
         except ReproError as exc:
-            if isinstance(exc, MigrationError):
-                failure = exc
-            else:
-                stage = (
-                    "swap"
-                    if isinstance(exc, FaultInjected) and exc.site == "live.swap"
-                    else "verify"
-                )
-                failure = MigrationError(
-                    f"α-verification of {report.new_layout!r} failed: {exc}",
-                    stage=stage,
-                )
-                failure.__cause__ = exc
-            self._record_failure(report, failure, self._shape_of(new_backing))
-            raise failure from exc
+            stage = (
+                "swap" if isinstance(exc, FaultInjected) and exc.site == "live.swap" else "verify"
+            )
+            raise self._failed(
+                report,
+                MigrationError(
+                    f"α-verification of {report.new_layout!r} failed: {exc}", stage=stage
+                ),
+                shape,
+            ) from exc
         self._backing = new_backing
         self.generation += 1
         report.swapped = True
         report.generation = self.generation
         self._consecutive_failures = 0
-        self._backoff_ops = 0
 
     # -- failure bookkeeping -----------------------------------------------------
 
-    def _shape_of(self, backing: RelationInterface) -> Optional[PyTuple]:
-        decomposition = getattr(type(backing), "DECOMPOSITION", None)
-        return canonical_shape(decomposition) if decomposition is not None else None
-
-    def _record_failure(
+    def _failed(
         self,
         report: RetuneReport,
         failure: LiveRelationError,
         shape: Optional[PyTuple] = None,
-    ) -> None:
-        """One failed re-tune / migration attempt: count, quarantine, back off."""
-        self._failures += 1
+    ) -> LiveRelationError:
+        """Record one failed attempt — count it toward backoff and the
+        circuit breaker, quarantine *shape* — and return *failure* to raise."""
         self._consecutive_failures += 1
         stage = getattr(failure, "stage", "unknown")
-        self._last_error = f"{type(failure).__name__}[{stage}]: {failure}"
-        report.error = self._last_error
-        if shape is not None and self.policy.quarantine:
+        report.error = f"{type(failure).__name__}[{stage}]: {failure}"
+        if shape is not None:
             self._quarantined[shape] = report.new_layout or "<uncompiled>"
-        # Exponential backoff: the k-th consecutive failure pushes the next
-        # automatic attempt to min_ops * backoff_factor**k operations out.
-        self._backoff_ops = int(
-            self.policy.min_ops
-            * (self.policy.backoff_factor ** self._consecutive_failures)
-        )
         self._ops_since_tune = 0
+        return failure
 
     # -- inspection (forwarded, never sampled) -----------------------------------
 

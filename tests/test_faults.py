@@ -11,18 +11,16 @@ step, asserting after each **survived** fault that
 * the instance stays well-formed (Figure 5),
 
 and that the :class:`~repro.live.LiveRelation` self-healing loop survives
-an injected failure at every re-tune / migration stage: the old backing
-keeps serving, the failed layout is quarantined, the circuit breaker opens
-after ``max_failures`` consecutive failures, and a dual-write window
-interrupted mid-flight aborts with every write in exactly one consistent
-backing.
+an injected failure at every re-tune / migration stage, explicit or
+triggered by a user operation: the old backing keeps serving, the failed
+layout is quarantined, and the circuit breaker opens after three
+consecutive failures.
 
 ``REPRO_CHAOS_OPS`` shortens the differentials (CI quick mode uses 250).
 """
 
 import os
 import random
-import time
 
 import pytest
 
@@ -97,13 +95,35 @@ def _clean_injector():
     FAULTS.disarm()
 
 
+#: Every site the library registers: the two tiers' mutators and the live
+#: facade's re-tune stages.
+REGISTERED_SITES = {
+    "codegen.insert.fd_evict",
+    "codegen.insert.link_shared",
+    "codegen.insert.registry",
+    "codegen.insert.store",
+    "codegen.remove.batch",
+    "codegen.remove.registry_pop",
+    "codegen.remove.unlink",
+    "codegen.update.in_place",
+    "codegen.update.reinsert",
+    "live.migrate.copy",
+    "live.retune.compile",
+    "live.retune.tune",
+    "live.retune.verify",
+    "live.swap",
+    "reference.insert",
+    "reference.remove",
+    "reference.update",
+}
+
+
 def test_sweep_surface_spans_every_layer():
-    """Every registered site belongs to a layer the sweeps below arm: the
-    two tiers' mutators and the live facade's re-tune stages."""
+    """The registry is exactly the known sites, each in a layer the sweeps
+    below arm — a site added or dropped anywhere must be named here."""
     sites = fault_sites()
-    assert len(sites) >= 18, sites
-    layers = {s.split(".")[0] for s in sites}
-    assert layers == {"codegen", "reference", "live"}, sorted(layers)
+    assert set(sites) == REGISTERED_SITES, sorted(set(sites) ^ REGISTERED_SITES)
+    assert len(sites) == len(REGISTERED_SITES)
 
 
 def test_inject_context_manager_arms_and_always_disarms():
@@ -321,10 +341,15 @@ def test_reference_atomic_commit_per_site(enforce_fds):
 # -- the self-healing live relation ------------------------------------------------
 
 
+#: Operations :func:`live_relation` warms a relation up with.
+WARMUP_OPS = 96
+
+
 def live_relation(**policy_overrides):
     """A live relation on a deliberately poor layout, warmed up with a
-    lookup-heavy workload so an unfaulted re-tune *will* swap."""
-    policy = {"auto": False, "min_ops": 1, "max_failures": 3, "migrate_batch": 4}
+    lookup-heavy workload (``WARMUP_OPS`` operations) so an unfaulted
+    re-tune *will* swap."""
+    policy = {"auto": False, "min_ops": 1}
     policy.update(policy_overrides)
     spec = scheduler_spec()
     rel = repro.open(
@@ -340,16 +365,23 @@ def live_relation(**policy_overrides):
     return rel
 
 
-@pytest.mark.parametrize(
-    "site, error_type, stage",
-    [
-        ("live.retune.tune", RetuneFailed, "tune"),
-        ("live.retune.compile", RetuneFailed, "compile"),
-        ("live.retune.verify", MigrationError, "verify"),
-        ("live.migrate.copy", MigrationError, "copy"),
-        ("live.swap", MigrationError, "swap"),
-    ],
-)
+#: Each live.* site with the error and stage a fault there must surface as.
+LIVE_SITE_CASES = [
+    ("live.retune.tune", RetuneFailed, "tune"),
+    ("live.retune.compile", RetuneFailed, "compile"),
+    ("live.retune.verify", MigrationError, "verify"),
+    ("live.migrate.copy", MigrationError, "copy"),
+    ("live.swap", MigrationError, "swap"),
+]
+
+
+def test_live_site_cases_cover_every_live_site():
+    assert {site for site, _, _ in LIVE_SITE_CASES} == {
+        s for s in fault_sites() if s.startswith("live.")
+    }
+
+
+@pytest.mark.parametrize("site, error_type, stage", LIVE_SITE_CASES)
 def test_retune_stage_failure_never_corrupts(site, error_type, stage):
     """A fault at each re-tune/migration stage aborts cleanly: the old
     backing keeps serving, α is untouched, the failure is recorded."""
@@ -378,6 +410,38 @@ def test_retune_stage_failure_never_corrupts(site, error_type, stage):
     assert rel.query(t(ns=2, pid=3))[0]["state"] == "W"
 
 
+@pytest.mark.parametrize("site, error_type, stage", LIVE_SITE_CASES)
+def test_automatic_retune_failure_never_fails_the_user_op(site, error_type, stage):
+    """A fault at each stage of a re-tune that a user's query triggers
+    (auto=True): the query still returns the right rows and does not
+    raise, nothing swaps, α is unchanged and the failure is recorded."""
+    rel = live_relation(auto=True, min_ops=WARMUP_OPS + 1)
+    assert rel.retunes == []  # the warm-up alone stays below min_ops
+    before = rel.to_relation()
+    pattern = t(ns=1, pid=1)
+    expected = ReferenceRelation(scheduler_spec())
+    for row in before.tuples:
+        expected.insert(row)
+    with inject(site):
+        got = rel.query(pattern)  # the (WARMUP_OPS + 1)-th op re-tunes
+    assert sorted(got, key=Tuple.sort_key) == sorted(
+        expected.query(pattern), key=Tuple.sort_key
+    )
+    assert FAULTS.fired_sites() == [site]
+    assert len(rel.retunes) == 1
+    report = rel.retunes[0]
+    assert report.error is not None
+    assert report.error.startswith(f"{error_type.__name__}[{stage}]")
+    assert not report.swapped
+    assert rel.generation == 0
+    assert rel.to_relation() == before
+    rel.check_well_formed()
+    stats = rel.live_stats()
+    assert stats["failures"] == 1 and stats["consecutive_failures"] == 1
+    assert stats["last_error"] == report.error
+    assert bool(stats["quarantined"]) == (stage != "tune")
+
+
 def test_quarantined_layout_is_never_retried():
     rel = live_relation()
     with inject("live.retune.verify"):
@@ -389,20 +453,26 @@ def test_quarantined_layout_is_never_retried():
     # different layout or keeps the current one — never the failed one.
     report = rel.retune()
     assert report.error is None
+    # A success ends the failure streak; the failed report stays in history.
+    stats = rel.live_stats()
+    assert stats["last_error"] is None and stats["failures"] == 1
     if report.swapped:
         assert report.new_layout not in quarantined
     rel.check_well_formed()
 
 
 def test_circuit_breaker_opens_and_resets():
-    rel = live_relation(max_failures=2)
-    for _ in range(2):
+    """The breaker opens on exactly the third consecutive failure."""
+    rel = live_relation()
+    for failures in range(1, 4):
+        assert not rel.circuit_open
         with inject("live.retune.tune"):
             with pytest.raises(RetuneFailed):
                 rel.retune()
+        assert rel.live_stats()["consecutive_failures"] == failures
     stats = rel.live_stats()
     assert stats["circuit_open"]
-    assert stats["consecutive_failures"] == 2
+    assert stats["failures"] == 3
     # Explicit re-tunes are refused while open; automatic ones are skipped.
     with pytest.raises(RetuneFailed, match="circuit breaker open") as excinfo:
         rel.retune()
@@ -412,18 +482,24 @@ def test_circuit_breaker_opens_and_resets():
     rel.update(t(ns=0, pid=0), t(state="S"))
     assert rel.query(t(ns=0, pid=0))[0]["state"] == "S"
     rel.reset_circuit()
-    assert not rel.live_stats()["circuit_open"]
+    stats = rel.live_stats()
+    assert not stats["circuit_open"]
+    assert stats["backoff_ops"] == 0 and stats["last_error"] is None
+    assert stats["failures"] == 3  # the history is kept
     report = rel.retune()
     assert report.error is None
 
 
 def test_exponential_backoff_defers_automatic_retunes():
-    rel = live_relation(min_ops=4, backoff_factor=4.0, max_failures=10)
-    with inject("live.retune.tune"):
-        with pytest.raises(RetuneFailed):
-            rel.retune()
-    backoff = rel.live_stats()["backoff_ops"]
-    assert backoff == 16  # min_ops * backoff_factor ** 1
+    """After the k-th consecutive failure an automatic re-tune waits for
+    min_ops * 2**k operations."""
+    rel = live_relation(min_ops=4)
+    for k in (1, 2):
+        with inject("live.retune.tune"):
+            with pytest.raises(RetuneFailed):
+                rel.retune()
+        assert rel.live_stats()["backoff_ops"] == 4 * 2**k
+    backoff = 4 * 2**2
     # Fewer than `backoff` ops since the failure: the drift check is deferred.
     for i in range(backoff - 1):
         rel.query(t(ns=i % 3))
@@ -431,124 +507,6 @@ def test_exponential_backoff_defers_automatic_retunes():
     rel.query(t(ns=0))
     report = rel.maybe_retune()
     assert report is not None and report.error is None
-
-
-def test_dual_write_interrupted_mid_window_lands_in_one_backing():
-    """Satellite: a dual-write migration interrupted mid-window aborts with
-    every write applied to exactly one consistent backing (the old one)."""
-    rng = random.Random(20110607)
-    # migrate_batch=1 keeps the window open across all the steps below.
-    rel = live_relation(migrate_batch=1)
-    mirror = ReferenceRelation(scheduler_spec())
-    for tup in rel.to_relation().tuples:
-        mirror.insert(tup)
-
-    report = rel.retune(dual_write=True)
-    assert rel.live_stats()["migration_open"]
-    assert report.dual_write
-
-    # Interleave user writes with the copy pump; one of them faults on the
-    # dual-write mirror into the target.
-    fault_at = 2
-    for step in range(12):
-        ns, pid = rng.choice(DOMAINS["ns"]), rng.choice(DOMAINS["pid"])
-        state, cpu = rng.choice(DOMAINS["state"]), rng.choice(DOMAINS["cpu"])
-        op_roll = rng.random()
-        if step == fault_at:
-            FAULTS.arm("live.migrate.dual_write")
-        try:
-            if op_roll < 0.6:
-                tup = t(ns=ns, pid=pid, state=state, cpu=cpu)
-                rel.remove(t(ns=ns, pid=pid))
-                mirror.remove(t(ns=ns, pid=pid))
-                rel.insert(tup)
-                mirror.insert(tup)
-            else:
-                rel.remove(t(ns=ns, pid=pid))
-                mirror.remove(t(ns=ns, pid=pid))
-        finally:
-            FAULTS.disarm()
-        # After every step — faulted or not — the facade agrees with the
-        # mirror: writes never land in a half-migrated limbo.
-        assert rel.to_relation() == mirror.to_relation(), f"diverged at step {step}"
-
-    stats = rel.live_stats()
-    assert not stats["migration_open"], "window should have aborted"
-    assert rel.generation == 0, "aborted migration must not swap"
-    assert stats["failures"] == 1
-    assert stats["quarantined"]
-    assert "dual-write" in stats["last_error"]
-    rel.check_well_formed()
-
-    # After reset, a clean re-tune still works and preserves the contents.
-    rel.reset_circuit(clear_quarantine=True)
-    final = rel.to_relation()
-    report = rel.retune(dual_write=True)
-    rel.finish_migration()
-    assert rel.generation == 1
-    assert rel.to_relation() == final
-
-
-def test_dual_write_copy_pump_fault_aborts_without_failing_the_user_op():
-    rel = live_relation()
-    rel.retune(dual_write=True)
-    before = rel.to_relation()
-    with inject("live.migrate.copy"):
-        rel.query(t(ns=0))  # pumps the window; the user's query must not raise
-    stats = rel.live_stats()
-    assert not stats["migration_open"]
-    assert rel.generation == 0
-    assert rel.to_relation() == before
-    assert "copy" in stats["last_error"]
-
-
-def test_background_retune_happy_path():
-    rel = live_relation(background=True)
-    before = rel.to_relation()
-    report = rel.retune()
-    assert report.pending
-    assert rel.live_stats()["retune_pending"]
-    finished = rel.finish_retune()
-    assert finished is report and not report.pending
-    assert report.error is None and report.swapped
-    assert rel.generation == 1
-    assert rel.to_relation() == before
-    rel.check_well_formed()
-
-
-def test_background_retune_watchdog_abandons_stragglers(monkeypatch):
-    import repro.live as live_module
-
-    real_autotune = live_module.autotune
-
-    def slow_autotune(*args, **kwargs):
-        time.sleep(0.2)
-        return real_autotune(*args, **kwargs)
-
-    monkeypatch.setattr(live_module, "autotune", slow_autotune)
-    rel = live_relation(background=True, retune_timeout=0.01)
-    before = rel.to_relation()
-    report = rel.retune()
-    time.sleep(0.05)
-    finished = rel._poll_background_tune()
-    assert finished is report
-    assert report.error is not None and "watchdog" in report.error
-    assert rel.generation == 0
-    assert rel.to_relation() == before
-    stats = rel.live_stats()
-    assert stats["failures"] == 1 and not stats["retune_pending"]
-
-
-def test_background_tune_fault_is_collected_on_the_caller_thread():
-    rel = live_relation(background=True)
-    before = rel.to_relation()
-    with inject("live.retune.tune"):
-        report = rel.retune()
-        finished = rel.finish_retune()
-    assert finished is report
-    assert report.error is not None and "tune" in report.error
-    assert rel.generation == 0
-    assert rel.to_relation() == before
 
 
 def test_open_relation_structured_errors_name_valid_choices():

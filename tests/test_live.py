@@ -1,6 +1,5 @@
 """Tests for ``repro.live``: the LiveRelation facade, the sampler, the
-re-tune loop, α-migration (synchronous and dual-write), and the unified
-``repro.open`` factory.
+re-tune loop, α-migration, and the unified ``repro.open`` factory.
 
 The headline property is the ISSUE-6 acceptance differential: a seeded
 1000-operation drifting workload driven through ``repro.open(spec,
@@ -232,55 +231,6 @@ class TestRetune:
         assert live.sampler.drift() == 0.0
         assert live.live_stats()["ops_since_tune"] == 0
 
-    def test_dual_write_window_with_concurrent_mutations(self):
-        live = self.make_live(migrate_batch=3)
-        for _ in range(100):
-            live.query(t(dst=3), None)
-        report = live.retune(dual_write=True)
-        assert not report.swapped  # window still open
-        assert live.live_stats()["migration_open"]
-        mirror = ReferenceRelation(EDGE_SPEC)
-        for tup in live.to_relation().tuples:
-            mirror.insert(tup)
-        # Mutations land while rows are still being copied: each observed
-        # operation pumps migrate_batch more rows across.
-        mutations = [
-            ("insert", t(src=9, dst=9, weight=999)),
-            ("remove", t(src=0, dst=0)),
-            ("update", t(src=0, dst=1), t(weight=-5)),
-            ("insert", t(src=9, dst=8, weight=998)),
-            ("remove", t(src=1)),
-        ]
-        for op in mutations:
-            apply_op(live, op)
-            apply_op(mirror, op)
-            assert live.to_relation() == mirror.to_relation()
-        live.finish_migration()
-        assert report.swapped
-        assert report.dual_write
-        assert live.generation == 1
-        assert live.to_relation() == mirror.to_relation()
-        live.check_well_formed()
-
-    def test_retune_refused_while_window_open(self):
-        live = self.make_live(migrate_batch=1)
-        for _ in range(60):
-            live.query(t(dst=3), None)
-        live.retune(dual_write=True)
-        with pytest.raises(LiveRelationError):
-            live.retune()
-        live.finish_migration()
-        live.retune()  # fine again once drained
-
-    def test_dual_write_threshold_routes_large_instances(self):
-        live = self.make_live(dual_write_threshold=10)  # 40 rows >= 10
-        for _ in range(100):
-            live.query(t(dst=3), None)
-        report = live.retune()  # dual_write not forced: policy decides
-        live.finish_migration()
-        assert report.dual_write
-        assert report.swapped
-
 
 # -- the facade contract -----------------------------------------------------------
 
@@ -321,6 +271,38 @@ class TestFacadeContract:
             RetunePolicy(min_ops=0)
         with pytest.raises(LiveRelationError):
             RetunePolicy(drift_threshold=0.0)
+        # An unknown field — a typo or a knob that no longer exists — is a
+        # LiveRelationError naming the valid fields, never a bare TypeError,
+        # including through the factory.
+        for bad in ({"min_op": 5}, {"background": True}, {"dual_write_threshold": 10}):
+            with pytest.raises(LiveRelationError, match="auto, min_ops, drift_threshold"):
+                RetunePolicy.coerce(bad)
+            with pytest.raises(LiveRelationError, match=repr(next(iter(bad)))):
+                open_relation(EDGE_SPEC, FORWARD_LAYOUT, live=True, policy=bad)
+        assert RetunePolicy.__slots__ == ("auto", "min_ops", "drift_threshold")
+
+    def test_query_range_forwards_samples_and_retunes_to_an_ordered_root(self):
+        spec = RelationSpec("ts, sensor, reading", fds=["ts -> sensor, reading"], name="ts")
+        live = open_relation(
+            spec, "ts -> htable {sensor, reading}", live=True, policy={"auto": False}
+        )
+        for i in range(200):
+            live.insert(t(ts=i, sensor=i % 5, reading=i * 3))
+        got = live.query_range("ts", 10, 20)
+        assert got == live.backing.query_range("ts", 10, 20)
+        assert [row["ts"] for row in got] == list(range(10, 21))
+        # Sampled as a range scan on its column, not as an unbound query.
+        assert live.sampler.sampled_operations()[-1] == ("range", "ts", 10, 20)
+        assert ("range", "ts") in live.sampler.recent_mix()
+        for i in range(300):
+            live.query_range("ts", i % 150, i % 150 + 10)
+        report = live.retune()
+        assert report.swapped
+        root = live.backing_decomposition().root.edges[0]
+        assert root.key == frozenset({"ts"}) and root.structure_class().ORDERED
+        # The swapped-in class serves the range by bounded descent.
+        assert "query_range" in type(live.backing).__dict__
+        assert live.query_range("ts", 10, 20) == got
 
 
 # -- the unified factory -----------------------------------------------------------
